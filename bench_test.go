@@ -245,7 +245,7 @@ func BenchmarkSection2_MultiTenant_IsolatedQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dbs[i%tenants].Query("SELECT COUNT(*) FROM fact_sales"); err != nil {
+		if _, err := dbs[i%tenants].QueryContext(context.Background(), "SELECT COUNT(*) FROM fact_sales"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -340,7 +340,7 @@ func benchmarkFigure4(b *testing.B, layer string) {
 			})
 		}
 	case "sql":
-		fn = func() error { _, err := db.Query(physical); return err }
+		fn = func() error { _, err := db.QueryContext(context.Background(), physical); return err }
 	case "catalog":
 		fn = func() error { _, err := sess.Catalog.Query(context.Background(), logical); return err }
 	case "service":
@@ -585,7 +585,7 @@ func benchmarkIndexAblation(b *testing.B, disable bool) {
 	e := storage.MustOpenMemory()
 	b.Cleanup(func() { e.Close() })
 	db := sql.NewDB(e)
-	if _, err := db.Query("CREATE TABLE ev (id INT PRIMARY KEY, bucket INT, payload TEXT)"); err != nil {
+	if _, err := db.QueryContext(context.Background(), "CREATE TABLE ev (id INT PRIMARY KEY, bucket INT, payload TEXT)"); err != nil {
 		b.Fatal(err)
 	}
 	err := e.Update(func(tx *storage.Tx) error {
@@ -599,13 +599,13 @@ func benchmarkIndexAblation(b *testing.B, disable bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := db.Query("CREATE INDEX ev_bucket ON ev (bucket)"); err != nil {
+	if _, err := db.QueryContext(context.Background(), "CREATE INDEX ev_bucket ON ev (bucket)"); err != nil {
 		b.Fatal(err)
 	}
 	db.DisableIndexes = disable
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query("SELECT COUNT(*) FROM ev WHERE bucket = ?", int64(i%1000)); err != nil {
+		if _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM ev WHERE bucket = ?", int64(i%1000)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -317,7 +317,7 @@ func TestSQLTaintPlaceholderFix(t *testing.T) {
 		t.Fatalf("exit = %d, want 1 (non-inline findings have no fix)\nstderr: %s", code, stderr.String())
 	}
 	diff := stdout.String()
-	want := `db.Query("SELECT id FROM orders WHERE region = ?", r.FormValue("region"))`
+	want := `db.QueryContext(r.Context(), "SELECT id FROM orders WHERE region = ?", r.FormValue("region"))`
 	if !strings.Contains(diff, want) {
 		t.Errorf("dry-run diff missing placeholder rewrite %q:\n%s", want, diff)
 	}

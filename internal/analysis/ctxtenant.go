@@ -16,8 +16,9 @@ import (
 //
 // Concretely: starting from every HTTP handler (a server-group function
 // with a *net/http.Request parameter), the analyzer walks the static
-// call graph and enforces two rules on reached functions outside the
-// namespace owners (tenant, storage, sql, bench):
+// call graph and enforces two rules on reached functions (rule 1
+// outside the namespace owners tenant, storage, sql and bench; rule 2
+// outside storage and bench):
 //
 //  1. Any reached function that directly invokes a data-access method
 //     on storage.Engine, storage.Tx, or sql.DB must take a
@@ -46,12 +47,22 @@ var CtxTenant = &Analyzer{
 
 // ctxTenantExemptGroups own the physical namespace (or measure it):
 // inside them, data access without a tenant value is the implementation
-// of the rewrite itself, not a bypass — and the legacy
-// context.Background() delegation shims live there by design.
+// of the rewrite itself, not a bypass. Rule 1 skips them.
 var ctxTenantExemptGroups = map[string]bool{
 	"tenant":  true,
 	"storage": true,
 	"sql":     true,
+	"bench":   true,
+}
+
+// ctxRootAllowedGroups may mint a root context below the server layer;
+// rule 2 skips them. storage keeps Begin/View/Update as Background()
+// delegations because storage/orm — and through it security and
+// tenant.Registry — has no context to pass; bench is the harness and
+// owns its roots. internal/sql has no ctx-less entry point left, so it
+// is held to the rule like every other layer.
+var ctxRootAllowedGroups = map[string]bool{
+	"storage": true,
 	"bench":   true,
 }
 
@@ -89,11 +100,16 @@ func runCtxTenant(pass *ProgramPass) {
 	}
 	for _, fi := range prog.Funcs() {
 		r, ok := reached[fi.Obj]
-		if !ok || ctxTenantExemptGroups[groupOf(fi.Pkg.Path)] {
+		if !ok {
+			continue
+		}
+		group := groupOf(fi.Pkg.Path)
+		ownsNamespace, mayRoot := ctxTenantExemptGroups[group], ctxRootAllowedGroups[group]
+		if ownsNamespace && mayRoot {
 			continue
 		}
 		hasCtx := hasDirectContextParam(fi.Obj)
-		isServer := groupOf(fi.Pkg.Path) == "server"
+		isServer := group == "server"
 		info := fi.Pkg.Info
 		via := ""
 		if len(r.chain) > 0 {
@@ -106,7 +122,7 @@ func runCtxTenant(pass *ProgramPass) {
 			}
 			// Rule 2: a reached function below the server layer with no
 			// context of its own must not mint a root context.
-			if !isServer && !hasCtx {
+			if !isServer && !hasCtx && !mayRoot {
 				if root := rootContextCall(info, call); root != "" {
 					pass.Reportf(call.Pos(),
 						"%s manufactures %s below the server layer (reachable from handler %s%s); a fresh root context severs the request's cancellation chain — add a context.Context parameter and derive from it",
@@ -115,7 +131,7 @@ func runCtxTenant(pass *ProgramPass) {
 				}
 			}
 			// Rule 1: direct data access needs an explicit context.
-			if hasCtx {
+			if hasCtx || ownsNamespace {
 				return true
 			}
 			target := dataAccessTarget(info, call)

@@ -12,8 +12,9 @@ import (
 //
 //   - an HTTP handler boundary (internal/server function taking
 //     *net/http.Request — same definition ctxtenant uses),
-//   - a statement entry on the SQL engine (exported Query*/Exec* method
-//     on a type named DB in the sql group),
+//   - a statement entry on the SQL engine (in the sql group: an exported
+//     Query* method or Prepare on a type named DB, or an exported Query*
+//     method on a type named Stmt),
 //   - an OLAP read entry (olap group: Build, or any exported method on
 //     a type named Cube).
 //
@@ -45,8 +46,8 @@ func isRequestEntry(fi *FuncInfo) (string, bool) {
 	}
 	switch group {
 	case "sql":
-		if recvName == "DB" && exported &&
-			(strings.HasPrefix(name, "Query") || strings.HasPrefix(name, "Exec")) {
+		if exported && (strings.HasPrefix(name, "Query") && (recvName == "DB" || recvName == "Stmt") ||
+			name == "Prepare" && recvName == "DB") {
 			return shortFuncName(fi.Obj), true
 		}
 	case "olap":

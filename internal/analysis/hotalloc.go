@@ -14,9 +14,9 @@ import (
 // multiplied per-tenant per-request. The analyzer combines the PR-2
 // call graph with loop structure: a function is "hot" when it is
 // reachable from a request-path entry point (HTTP handlers, sql.DB
-// Query*/Exec*, olap.Build / Cube methods — see entrypoints.go), and
-// inside hot functions' loops it flags the allocation patterns that the
-// benchmarks show dominate:
+// Query*/Prepare and sql.Stmt Query*, olap.Build / Cube methods — see
+// entrypoints.go), and inside hot functions' loops it flags the
+// allocation patterns that the benchmarks show dominate:
 //
 //   - fmt.Sprintf / Sprint / Sprintln — one string + interface boxing
 //     per iteration (Errorf is exempt: error paths are cold by intent);

@@ -37,12 +37,13 @@ import (
 // so reading any field back is tainted. Dynamic calls are invisible
 // (see Program), so the analyzer under-approximates.
 //
-// Sinks are sql.DB.Query/QueryTx/Exec and tenant.Catalog.Query/Exec
-// query-string arguments. Where the offending argument is a direct
-// fmt.Sprintf call with only plain %s/%d/%v/%f verbs, the diagnostic
-// carries a mechanical fix that rewrites the format string to ?
-// placeholders and passes the formatted values as bind arguments
-// (storage.Value is `any`, so the values pass through unchanged).
+// Sinks are the statement-text argument of sql.DB.QueryContext/QueryTx/
+// Prepare and tenant.Catalog.Query/Exec/Prepare. Where the offending
+// argument is a direct fmt.Sprintf call with only plain %s/%d/%v/%f
+// verbs, the diagnostic carries a mechanical fix that rewrites the
+// format string to ? placeholders and passes the formatted values as
+// bind arguments (storage.Value is `any`, so the values pass through
+// unchanged).
 var SQLTaint = &Analyzer{
 	Name:       "sqltaint",
 	Doc:        "flag Sprintf/concat-built strings from request or tenant input reaching SQL execution",
@@ -210,24 +211,19 @@ func sqlSinkArg(info *types.Info, call *ast.CallExpr) (ast.Expr, string, bool) {
 	name := ast.Unparen(call.Fun).(*ast.SelectorExpr).Sel.Name
 	const sqlPath = "github.com/odbis/odbis/internal/sql"
 	const tenantPath = "github.com/odbis/odbis/internal/tenant"
+	var sink string
 	switch {
-	case isNamed(recv, sqlPath, "DB"):
-		switch name {
-		case "Query", "Exec":
-			if len(call.Args) > 0 {
-				return call.Args[0], "sql.DB." + name, true
-			}
-		case "QueryTx":
-			if len(call.Args) > 1 {
-				return call.Args[1], "sql.DB.QueryTx", true
-			}
-		}
-	case isNamed(recv, tenantPath, "Catalog"):
-		if (name == "Query" || name == "Exec") && len(call.Args) > 0 {
-			return call.Args[0], "tenant.Catalog." + name, true
-		}
+	case isNamed(recv, sqlPath, "DB") && (name == "QueryContext" || name == "QueryTx" || name == "Prepare"):
+		sink = "sql.DB." + name
+	case isNamed(recv, tenantPath, "Catalog") && (name == "Query" || name == "Exec" || name == "Prepare"):
+		sink = "tenant.Catalog." + name
 	}
-	return nil, "", false
+	// Every sink takes the statement text second: after its ctx, tx,
+	// cache namespace or engine.
+	if sink == "" || len(call.Args) < 2 {
+		return nil, "", false
+	}
+	return call.Args[1], sink, true
 }
 
 // stringBuilders are stdlib calls that assemble strings (build), and

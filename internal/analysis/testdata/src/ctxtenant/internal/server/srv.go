@@ -10,6 +10,7 @@ import (
 	"net/http"
 
 	"github.com/odbis/odbis/internal/analysis/testdata/src/ctxtenant/internal/services"
+	"github.com/odbis/odbis/internal/analysis/testdata/src/ctxtenant/internal/sql"
 	"github.com/odbis/odbis/internal/storage"
 	"github.com/odbis/odbis/internal/tenant"
 )
@@ -49,6 +50,13 @@ func ctxLookup(ctx context.Context, e *storage.Engine, name string) bool {
 // the rule-2 finding lands in the services fixture package.
 func HandleBridged(w http.ResponseWriter, r *http.Request, e *storage.Engine) {
 	services.BridgedLookup(e)
+}
+
+// HandleSQLShim reaches a ctx-less function in the sql group: the
+// namespace owners are exempt from rule 1 only, so the manufactured
+// root is flagged in the sql fixture package.
+func HandleSQLShim(w http.ResponseWriter, r *http.Request, e *storage.Engine) {
+	sql.Shim(e, "orders")
 }
 
 // HandleDetached may mint a root context: the server layer is where

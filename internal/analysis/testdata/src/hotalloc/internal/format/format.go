@@ -12,7 +12,7 @@ func RenderRows(names []string) string {
 	s := ""
 	var quoted []string
 	for _, n := range names {
-		s += n                             // want `string \+= in this hot loop reallocates and copies the accumulator each iteration; use strings\.Builder \(reachable from sql\.DB\.Exec via format\.RenderRows\)`
+		s += n                             // want `string \+= in this hot loop reallocates and copies the accumulator each iteration; use strings\.Builder \(reachable from sql\.DB\.Prepare via format\.RenderRows\)`
 		quoted = append(quoted, "'"+n+"'") // want `append to quoted in this hot loop grows the backing array geometrically`
 		_ = map[string]bool{"a": true}     // want `loop-invariant composite literal allocates on every iteration of this hot loop`
 		per := []string{n}                 // depends on the loop variable: no finding

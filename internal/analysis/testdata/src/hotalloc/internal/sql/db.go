@@ -1,6 +1,7 @@
 // Package sql is the hotalloc fixture's entry layer: its import path
-// ends in internal/sql, so exported Query*/Exec* methods on DB are
-// request-path entry points, and everything they reach is "hot".
+// ends in internal/sql, so exported Query* methods on DB and Stmt, and
+// DB.Prepare, are request-path entry points, and everything they reach
+// is "hot".
 package sql
 
 import (
@@ -27,9 +28,9 @@ func (db *DB) Query(ids []int) []string {
 	return out
 }
 
-// Exec reaches the cross-package helpers: the findings land in the
+// Prepare reaches the cross-package helpers: the findings land in the
 // format package, witnessed back to this entry point.
-func (db *DB) Exec(rows []Row) string {
+func (db *DB) Prepare(rows []Row) string {
 	names := toNames(rows)
 	format.Classify(names, func(s string) bool { return s != "" })
 	format.Amortized(names)
@@ -40,6 +41,28 @@ func toNames(rows []Row) []string {
 	out := make([]string, 0, len(rows)) // preallocated: no finding
 	for _, r := range rows {
 		out = append(out, r.Name)
+	}
+	return out
+}
+
+// Stmt is the prepared-handle half of the statement surface: its
+// Query* methods are entry points in their own right.
+type Stmt struct{}
+
+func (s *Stmt) QueryContext(ids []int) []string {
+	out := make([]string, 0, len(ids))
+	for _, id := range ids {
+		out = append(out, fmt.Sprintf("row-%d", id)) // want `fmt\.Sprintf allocates \(formatting \+ interface boxing\) on every iteration of this hot loop`
+	}
+	return out
+}
+
+// Statement is exported on Stmt but executes nothing: not an entry
+// point, so its loop stays quiet.
+func (s *Stmt) Statement(ids []int) []string {
+	var out []string
+	for _, id := range ids {
+		out = append(out, fmt.Sprintf("row-%d", id)) // unreached: no finding
 	}
 	return out
 }

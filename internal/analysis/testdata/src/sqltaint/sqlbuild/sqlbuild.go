@@ -4,6 +4,7 @@
 package sqlbuild
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/odbis/odbis/internal/sql"
@@ -19,13 +20,13 @@ func WhereName(name string) string {
 // Run concatenates its argument into a query and executes it: a sink
 // obligation that fires at the caller's call site when the caller's
 // argument is request-derived.
-func Run(db *sql.DB, id string) error {
-	_, err := db.Query("SELECT * FROM t WHERE id = '" + id + "'")
+func Run(ctx context.Context, db *sql.DB, id string) error {
+	_, err := db.QueryContext(ctx, "SELECT * FROM t WHERE id = '"+id+"'")
 	return err
 }
 
 // Clean uses placeholders; no obligation, no finding anywhere.
-func Clean(db *sql.DB, id string) error {
-	_, err := db.Query("SELECT * FROM t WHERE id = ?", id)
+func Clean(ctx context.Context, db *sql.DB, id string) error {
+	_, err := db.QueryContext(ctx, "SELECT * FROM t WHERE id = ?", id)
 	return err
 }

@@ -3,6 +3,8 @@
 package app
 
 import (
+	"context"
+
 	"github.com/odbis/odbis/internal/sql"
 	"github.com/odbis/odbis/internal/storage"
 	"github.com/odbis/odbis/internal/storage/orm"
@@ -24,9 +26,10 @@ func BadTxAccess(e *storage.Engine) error {
 	})
 }
 
-func BadRawSQL(db *sql.DB) {
-	db.Query("SELECT * FROM orders") // want `raw sql.DB.Query with literal statement bypasses the tenant Catalog rewrite`
-	db.Exec("DELETE FROM orders")    // want `raw sql.DB.Exec with literal statement bypasses the tenant Catalog rewrite`
+func BadRawSQL(ctx context.Context, db *sql.DB, tx *storage.Tx) {
+	db.QueryContext(ctx, "SELECT * FROM orders") // want `raw sql.DB.QueryContext with literal statement bypasses the tenant Catalog rewrite`
+	db.QueryTx(tx, "DELETE FROM orders")         // want `raw sql.DB.QueryTx with literal statement bypasses the tenant Catalog rewrite`
+	db.Prepare("", "SELECT * FROM orders", nil)  // want `raw sql.DB.Prepare with literal statement bypasses the tenant Catalog rewrite`
 }
 
 func BadMapper(e *storage.Engine) {

@@ -307,7 +307,7 @@ func E2MultiTenant(quick bool) (*Table, error) {
 		qStart = time.Now()
 		for _, ei := range engines {
 			db := sql.NewDB(ei)
-			if _, err := db.Query("SELECT COUNT(*), SUM(amount) FROM fact_sales"); err != nil {
+			if _, err := db.QueryContext(context.Background(), "SELECT COUNT(*), SUM(amount) FROM fact_sales"); err != nil {
 				return nil, err
 			}
 		}
@@ -401,7 +401,7 @@ func E5Layers(quick bool) (*Table, error) {
 			})
 		}},
 		{"sql (engine)", func() error {
-			_, err := db.Query(physical)
+			_, err := db.QueryContext(context.Background(), physical)
 			return err
 		}},
 		{"tenant (catalog)", func() error {

@@ -345,7 +345,7 @@ func A1Index(quick bool) (*Table, error) {
 	e := storage.MustOpenMemory()
 	defer e.Close()
 	db := sql.NewDB(e)
-	if _, err := db.Query("CREATE TABLE ev (id INT PRIMARY KEY, bucket INT, payload TEXT)"); err != nil {
+	if _, err := db.QueryContext(context.Background(), "CREATE TABLE ev (id INT PRIMARY KEY, bucket INT, payload TEXT)"); err != nil {
 		return nil, err
 	}
 	const batch = 5000
@@ -366,7 +366,7 @@ func A1Index(quick bool) (*Table, error) {
 			return nil, err
 		}
 	}
-	if _, err := db.Query("CREATE INDEX ev_bucket ON ev (bucket)"); err != nil {
+	if _, err := db.QueryContext(context.Background(), "CREATE INDEX ev_bucket ON ev (bucket)"); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -389,7 +389,7 @@ func A1Index(quick bool) (*Table, error) {
 			db.DisableIndexes = disabled
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				if _, err := db.Query(q.q); err != nil {
+				if _, err := db.QueryContext(context.Background(), q.q); err != nil {
 					return nil, err
 				}
 			}

@@ -57,7 +57,7 @@ func TestAggregateMatchesSQL(t *testing.T) {
 			return false
 		}
 		db := sql.NewDB(e)
-		res, err := db.Query(`
+		res, err := db.QueryContext(context.Background(), `
 			SELECT g, COUNT(v), SUM(v), MIN(v), MAX(v), AVG(v)
 			FROM d GROUP BY g ORDER BY g`)
 		if err != nil {

@@ -166,7 +166,7 @@ func TestGeneratedDDLDeploys(t *testing.T) {
 	defer e.Close()
 	db := sql.NewDB(e)
 	for _, ddl := range result.Artifacts.DDL {
-		if _, err := db.Query(ddl); err != nil {
+		if _, err := db.QueryContext(context.Background(), ddl); err != nil {
 			t.Fatalf("generated DDL rejected: %v\n%s", err, ddl)
 		}
 	}
@@ -194,7 +194,7 @@ func TestGeneratedCubeSpecWorksEndToEnd(t *testing.T) {
 	defer e.Close()
 	db := sql.NewDB(e)
 	for _, ddl := range result.Artifacts.DDL {
-		if _, err := db.Query(ddl); err != nil {
+		if _, err := db.QueryContext(context.Background(), ddl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestGeneratedCubeSpecWorksEndToEnd(t *testing.T) {
 		"INSERT INTO dim_product VALUES (1, 'toys', 'kite', 1.5)",
 		"INSERT INTO fact_sales (date_id, product_id, amount, orders) VALUES (1, 1, 10.5, 1), (1, 1, 4.5, 1)",
 	} {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryContext(context.Background(), q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -254,13 +254,13 @@ func TestBuildLoadJobRuns(t *testing.T) {
 	defer e.Close()
 	db := sql.NewDB(e)
 	for _, ddl := range result.Artifacts.DDL {
-		db.Query(ddl)
+		db.QueryContext(context.Background(), ddl)
 	}
 	for _, q := range []string{
 		"INSERT INTO dim_date VALUES (1, '2026', 'Jan')",
 		"INSERT INTO dim_product VALUES (7, 'toys', 'kite', 1.5)",
 	} {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryContext(context.Background(), q); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -288,7 +288,7 @@ func TestBuildLoadJobRuns(t *testing.T) {
 	if err := report.Err(); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := db.Query("SELECT product_id, amount FROM fact_sales")
+	res, _ := db.QueryContext(context.Background(), "SELECT product_id, amount FROM fact_sales")
 	if len(res.Rows) != 1 || res.Rows[0][0] != int64(7) || res.Rows[0][1] != 10.5 {
 		t.Errorf("loaded fact = %v", res.Rows)
 	}
@@ -377,7 +377,11 @@ func TestProjectLifecycle(t *testing.T) {
 type dbDeployer struct{ db *sql.DB }
 
 func (d dbDeployer) Exec(ctx context.Context, q string, args ...storage.Value) (int, error) {
-	return d.db.ExecContext(ctx, q, args...)
+	res, err := d.db.QueryContext(ctx, q, args...)
+	if err != nil {
+		return 0, err
+	}
+	return res.Affected, nil
 }
 
 func TestChainLineage(t *testing.T) {
@@ -490,7 +494,7 @@ func TestAttrColumnTypes(t *testing.T) {
 	defer e2.Close()
 	db2 := sql.NewDB(e2)
 	for _, ddl := range result.Artifacts.DDL {
-		if _, err := db2.Query(ddl); err != nil {
+		if _, err := db2.QueryContext(context.Background(), ddl); err != nil {
 			t.Fatalf("typed ddl: %v\n%s", err, ddl)
 		}
 	}

@@ -41,7 +41,6 @@ import (
 	"github.com/odbis/odbis/internal/proto"
 	"github.com/odbis/odbis/internal/server"
 	"github.com/odbis/odbis/internal/services"
-	"github.com/odbis/odbis/internal/tenant"
 )
 
 // Metric handles are resolved once at package init (request paths must
@@ -288,7 +287,7 @@ func (sn *session) run(base context.Context) {
 		sn.writeMu.Unlock()
 	}()
 
-	// A degraded platform refuses the session up front — a degraded platform refuses the session up front —
+	// A degraded platform refuses the session up front —
 	// the client's pool can dial a healthy instance instead of
 	// discovering the degradation one failed query at a time.
 	if !sn.srv.ready() {
@@ -397,24 +396,12 @@ func (sn *session) handleQuery(base context.Context, payload []byte) bool {
 	}
 	defer sn.srv.opts.Admission.Release()
 
-	// The request context mirrors withSession on the HTTP side: tenant
-	// identity from the handshake, per-tenant usage accounting, trace
-	// root, request timeout, and the injection point for fault drills.
+	// Same request context as withSession on the HTTP side, under this
+	// door's own trace root and fault point.
 	ctx, root := obs.StartTrace(base, "PROTO query")
-	if tid := sn.sess.Principal.Tenant; tid != "" {
-		ctx = tenant.NewContext(ctx, tid)
-		obs.SetTraceTenant(ctx, tid)
-		obs.AddTenant(ctx, obs.TenantRequests, 1)
-		if wait > 0 {
-			obs.AddTenant(ctx, obs.TenantQueueWaitNs, wait.Nanoseconds())
-		}
-	}
-	if to := sn.srv.opts.RequestTimeout; to > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
-	}
 	defer root.End()
+	ctx, cancel := server.RequestContext(ctx, sn.sess.Principal.Tenant, wait, sn.srv.opts.RequestTimeout)
+	defer cancel()
 
 	if err := fault.PointCtx(ctx, fault.NetsrvSession); err != nil {
 		mRequestErrors.Inc()

@@ -24,7 +24,7 @@ func starFixture(t testing.TB, facts int) (*storage.Engine, CubeSpec) {
 	t.Cleanup(func() { e.Close() })
 	db := sql.NewDB(e)
 	mustExec := func(q string, args ...storage.Value) {
-		if _, err := db.Query(q, args...); err != nil {
+		if _, err := db.QueryContext(context.Background(), q, args...); err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestQueryTotals(t *testing.T) {
 	}
 	// Compare against SQL.
 	db := sql.NewDB(e)
-	r, _ := db.Query("SELECT SUM(amount) FROM fact_sales")
+	r, _ := db.QueryContext(context.Background(), "SELECT SUM(amount) FROM fact_sales")
 	want := r.Rows[0][0].(float64)
 	if math.Abs(cell[1]-want) > 1e-9 {
 		t.Errorf("amount = %v, want %v", cell[1], want)
@@ -208,7 +208,7 @@ func TestCubeAgainstSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqlRes, err := db.Query(`
+	sqlRes, err := db.QueryContext(context.Background(), `
 		SELECT s.region, d.year, SUM(f.amount)
 		FROM fact_sales f
 		JOIN dim_store s ON f.store_id = s.id
@@ -258,7 +258,7 @@ func TestSliceDice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqlRes, _ := db.Query(`
+	sqlRes, _ := db.QueryContext(context.Background(), `
 		SELECT s.city, SUM(f.qty)
 		FROM fact_sales f
 		JOIN dim_store s ON f.store_id = s.id
@@ -325,9 +325,9 @@ func TestAvgMinMax(t *testing.T) {
 	e := storage.MustOpenMemory()
 	defer e.Close()
 	db := sql.NewDB(e)
-	db.Query("CREATE TABLE f (g TEXT, v FLOAT)")
+	db.QueryContext(context.Background(), "CREATE TABLE f (g TEXT, v FLOAT)")
 	for i, g := range []string{"a", "a", "a", "b"} {
-		db.Query("INSERT INTO f VALUES (?, ?)", g, float64(i+1)) // a: 1,2,3; b: 4
+		db.QueryContext(context.Background(), "INSERT INTO f VALUES (?, ?)", g, float64(i+1)) // a: 1,2,3; b: 4
 	}
 	cube, err := Build(context.Background(), e, CubeSpec{
 		Name: "c", FactTable: "f",
@@ -359,10 +359,10 @@ func TestNullMeasuresAndFKs(t *testing.T) {
 	e := storage.MustOpenMemory()
 	defer e.Close()
 	db := sql.NewDB(e)
-	db.Query("CREATE TABLE dim (id INT PRIMARY KEY, name TEXT)")
-	db.Query("INSERT INTO dim VALUES (1, 'x')")
-	db.Query("CREATE TABLE f (dim_id INT, v FLOAT)")
-	db.Query("INSERT INTO f VALUES (1, 10.0), (1, NULL), (NULL, 5.0), (99, 2.0)")
+	db.QueryContext(context.Background(), "CREATE TABLE dim (id INT PRIMARY KEY, name TEXT)")
+	db.QueryContext(context.Background(), "INSERT INTO dim VALUES (1, 'x')")
+	db.QueryContext(context.Background(), "CREATE TABLE f (dim_id INT, v FLOAT)")
+	db.QueryContext(context.Background(), "INSERT INTO f VALUES (1, 10.0), (1, NULL), (NULL, 5.0), (99, 2.0)")
 	cube, err := Build(context.Background(), e, CubeSpec{
 		Name: "c", FactTable: "f",
 		Measures: []MeasureSpec{

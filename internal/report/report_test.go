@@ -23,7 +23,7 @@ func fixture(t *testing.T) *sql.DB {
 			('neuro', 1, 22, 9100.0), ('neuro', 2, 28, 9900.0),
 			('ortho', 1, 51, 4300.0), ('ortho', 2, 47, 4100.0)`,
 	} {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryContext(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/odbis/odbis/internal/obs"
 )
@@ -208,10 +209,11 @@ func TestUsageAgreesWithObsCounters(t *testing.T) {
 // that the shed counter records the rejection.
 func TestMetricsExemptFromAdmission(t *testing.T) {
 	obs.Reset()
-	ts, _ := testServerOpts(t, Options{MaxInFlight: 1})
+	ts, srv := testServerOpts(t, Options{MaxInFlight: 1})
 	// Occupy the only admission slot with a login whose body stalls: the
 	// handler blocks reading the request body until the pipe closes.
 	pr, pw := io.Pipe()
+	defer pw.Close() // a failed assertion must not leave the server waiting on the body
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -224,6 +226,15 @@ func TestMetricsExemptFromAdmission(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
+	// Wait for the login to hold the slot before probing: a probe that
+	// held it at the instant the login arrived would shed the login
+	// instead, and nothing would ever stall.
+	for deadline := time.Now().Add(5 * time.Second); len(srv.adm.sem) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled login never took the admission slot")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Once the slot is held, unauthenticated API calls shed with 503.
 	shed := false
 	for i := 0; i < 500 && !shed; i++ {

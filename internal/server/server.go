@@ -345,11 +345,31 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// RequestContext assembles the context one authenticated request runs
+// under — the same for both front doors (withSession here, QUERY frames
+// in netsrv). It derives from ctx, so a client disconnect or server
+// shutdown cancels all downstream work; a tenant session's context is
+// stamped with the tenant identity, names the tenant on the request's
+// trace, and counts the request and the admission queue wait it already
+// paid against the tenant; a positive timeout bounds it with a
+// deadline. The caller must call cancel when the request is done.
+func RequestContext(ctx context.Context, tenantID string, queueWait, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if tenantID != "" {
+		ctx = tenant.NewContext(ctx, tenantID)
+		obs.SetTraceTenant(ctx, tenantID)
+		obs.AddTenant(ctx, obs.TenantRequests, 1)
+		if queueWait > 0 {
+			obs.AddTenant(ctx, obs.TenantQueueWaitNs, queueWait.Nanoseconds())
+		}
+	}
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
+	}
+	return ctx, func() {}
+}
+
 // withSession authenticates the bearer token and passes the session on.
-// The handler's request context derives from r.Context() — so a client
-// disconnect cancels all downstream work — stamped with the session's
-// tenant identity and, when the server has a request timeout, bounded by
-// a deadline.
+// The handler runs under RequestContext over r.Context().
 func (s *Server) withSession(h func(w http.ResponseWriter, r *http.Request, sess *services.Session)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		auth := r.Header.Get("Authorization")
@@ -363,20 +383,9 @@ func (s *Server) withSession(h func(w http.ResponseWriter, r *http.Request, sess
 			writeErr(w, err)
 			return
 		}
-		ctx := r.Context()
-		if sess.Principal.Tenant != "" {
-			ctx = tenant.NewContext(ctx, sess.Principal.Tenant)
-			obs.SetTraceTenant(ctx, sess.Principal.Tenant)
-			obs.AddTenant(ctx, obs.TenantRequests, 1)
-			if wait, ok := ctx.Value(queueWaitKey{}).(time.Duration); ok {
-				obs.AddTenant(ctx, obs.TenantQueueWaitNs, wait.Nanoseconds())
-			}
-		}
-		if s.requestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.requestTimeout)
-			defer cancel()
-		}
+		wait, _ := r.Context().Value(queueWaitKey{}).(time.Duration)
+		ctx, cancel := RequestContext(r.Context(), sess.Principal.Tenant, wait, s.requestTimeout)
+		defer cancel()
 		// The server.handler point fires after auth with the full request
 		// context assembled: error mode injects a handler failure, panic
 		// mode drills the recovery middleware, delay mode holds requests

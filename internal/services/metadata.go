@@ -258,14 +258,18 @@ func (s *Session) RunDataSet(ctx context.Context, name string, args ...storage.V
 	if err != nil {
 		return nil, err
 	}
-	// Stored data sets are SELECTs in practice; route them like ad-hoc
-	// reads when a cached plan proves the statement is a SELECT.
-	if cat.HasCachedSelect(ds.Query) {
+	st, err := cat.Prepare(s.p.Registry.Engine(), ds.Query)
+	if err != nil {
+		return nil, err
+	}
+	// Stored data sets are SELECTs in practice; route those like ad-hoc
+	// reads.
+	if _, ok := st.Statement().(*sql.SelectStmt); ok {
 		if res, ok := s.tryReplica(ctx, cat, ds.Query, args); ok {
 			return res, nil
 		}
 	}
-	return cat.Query(s.scope(ctx), ds.Query, args...)
+	return cat.Run(s.scope(ctx), st, args...)
 }
 
 // Query runs ad-hoc SQL against the tenant catalog (requires read
@@ -273,34 +277,27 @@ func (s *Session) RunDataSet(ctx context.Context, name string, args ...storage.V
 func (s *Session) Query(ctx context.Context, query string, args ...storage.Value) (*sql.Result, error) {
 	ctx, span := obs.StartSpan(ctx, "services.query")
 	defer span.End()
-	// A plan-cache hit is by construction a SELECT, so its authority
-	// class is known without re-parsing; only cold or non-SELECT text
-	// pays the parse here (the catalog parses cold SELECTs once more
-	// when it caches them).
-	authority := AuthMetadataRead
-	routable := true // a cache hit is a SELECT, routable by construction
-	if s.Catalog == nil || !s.Catalog.HasCachedSelect(query) {
-		stmt, err := sql.Parse(query)
-		if err != nil {
-			return nil, err
-		}
-		switch stmt.(type) {
-		case *sql.SelectStmt:
-			// read-only and replica-routable
-		case *sql.ExplainStmt:
-			// read-only, but always planned on the primary so the
-			// rendered plan reflects the authoritative engine
-			routable = false
-		default:
-			authority = AuthMetadataWrite
-			routable = false
-		}
-	}
-	if err := s.authorize(authority); err != nil {
-		return nil, err
-	}
 	cat, err := s.requireCatalog()
 	if err != nil {
+		return nil, err
+	}
+	// The statement is prepared once, on the primary: its kind decides
+	// the authority class and whether a replica may serve it, and the
+	// same handle then executes unless a replica answers first.
+	st, err := cat.Prepare(s.p.Registry.Engine(), query)
+	if err != nil {
+		return nil, err
+	}
+	authority, routable := AuthMetadataWrite, false
+	switch st.Statement().(type) {
+	case *sql.SelectStmt:
+		authority, routable = AuthMetadataRead, true
+	case *sql.ExplainStmt:
+		// read-only, but always planned on the primary so the rendered
+		// plan reflects the authoritative engine
+		authority = AuthMetadataRead
+	}
+	if err := s.authorize(authority); err != nil {
 		return nil, err
 	}
 	if err := fault.PointCtx(ctx, fault.ServicesQuery); err != nil {
@@ -311,7 +308,7 @@ func (s *Session) Query(ctx context.Context, query string, args ...storage.Value
 			return res, nil
 		}
 	}
-	res, err := cat.Query(s.scope(ctx), query, args...)
+	res, err := cat.Run(s.scope(ctx), st, args...)
 	if err != nil {
 		return nil, err
 	}

@@ -66,10 +66,9 @@ func (p *Platform) notePin(user string) {
 // means "use the primary": no set attached, no replica eligible, or the
 // attempt failed — an apply-side panic or error during the read falls
 // back to the primary in the same request rather than surfacing to the
-// caller. A query that is genuinely invalid also returns ok=false and
-// re-fails identically on the primary, which keeps error text and
-// metering single-sourced at the cost of one redundant parse on the
-// (already failing) path.
+// caller. A query the replica rejects (suspension, a table its stream
+// has not created yet) also returns ok=false and is answered by the
+// primary, which keeps error text and metering single-sourced.
 func (s *Session) tryReplica(ctx context.Context, cat *tenant.Catalog, query string, args []storage.Value) (res *sql.Result, ok bool) {
 	set := s.p.Replicas
 	if set == nil {
@@ -87,7 +86,11 @@ func (s *Session) tryReplica(ctx context.Context, cat *tenant.Catalog, query str
 	if err := fault.PointCtx(ctx, fault.ReplicaRead); err != nil {
 		return nil, false
 	}
-	r, err := cat.QueryOn(s.scope(ctx), eng, query, args...)
+	st, err := cat.Prepare(eng, query)
+	if err != nil {
+		return nil, false
+	}
+	r, err := cat.Run(s.scope(ctx), st, args...)
 	if err != nil {
 		return nil, false
 	}

@@ -9,6 +9,7 @@ import (
 
 	"github.com/odbis/odbis/internal/fault"
 	"github.com/odbis/odbis/internal/replica"
+	"github.com/odbis/odbis/internal/sql"
 )
 
 // attachReplicas wires n replicas into a test platform and waits for the
@@ -76,6 +77,48 @@ func TestReplicaRoutedReads(t *testing.T) {
 	}
 	if mReadsReplica.Value() != before+1 {
 		t.Fatal("caught-up read after own write was not routed to a replica")
+	}
+}
+
+// TestReplicaRoutedReadsServeReplicaRows: a routed read executes on the
+// replica's engine through the replica's plan cache, not merely counts
+// as routed. The replica is made to differ from the primary by deleting
+// a row on its engine directly; the routed read must show the replica's
+// state.
+func TestReplicaRoutedReadsServeReplicaRows(t *testing.T) {
+	p, _ := newPlatform(t)
+	ada, vic := designer(t, p), viewer(t, p)
+	for _, q := range []string{
+		"CREATE TABLE sales (region TEXT, amount INT)",
+		"INSERT INTO sales VALUES ('north', 10), ('south', 20), ('west', 30)",
+	} {
+		if _, err := ada.Query(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := attachReplicas(t, p, 1, 1024)
+	replicaDB := sql.NewDB(set.PickFor(0))
+	if _, err := replicaDB.QueryContext(context.Background(), "DELETE FROM "+ada.Catalog.Physical("sales")+" WHERE region = 'west'"); err != nil {
+		t.Fatal(err)
+	}
+
+	const q = "SELECT region FROM sales"
+	for i, wantReplicaMisses := range []uint64{1, 0} { // cold on the replica, then cached there
+		routed, replicaStats := mReadsReplica.Value(), replicaDB.PlanCacheStats()
+		if n := mustQuery(t, vic, q); n != 2 {
+			t.Fatalf("read %d: %d rows, want the replica's 2 (the primary has 3)", i, n)
+		}
+		if mReadsReplica.Value() != routed+1 {
+			t.Fatalf("read %d was not counted as routed", i)
+		}
+		after := replicaDB.PlanCacheStats()
+		if after.Misses-replicaStats.Misses != wantReplicaMisses || after.Hits+after.Misses != replicaStats.Hits+replicaStats.Misses+1 {
+			t.Errorf("read %d: replica plan cache %+v -> %+v, want exactly one lookup (%d miss)", i, replicaStats, after, wantReplicaMisses)
+		}
+	}
+	// The primary still holds the row the replica lost.
+	if res, err := sql.NewDB(p.Registry.Engine()).QueryContext(context.Background(), "SELECT region FROM "+ada.Catalog.Physical("sales")); err != nil || len(res.Rows) != 3 {
+		t.Fatalf("primary rows = %v, %v; want 3", res, err)
 	}
 }
 

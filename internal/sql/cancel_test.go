@@ -86,14 +86,14 @@ func TestQueryContextCancelMidScan(t *testing.T) {
 	}
 }
 
-// TestExecContextCancelRollsBack: a mutation cancelled mid-scan rolls
+// TestWriteCancelRollsBack: a mutation cancelled mid-scan rolls
 // back wholesale — no partial UPDATE is ever visible.
-func TestExecContextCancelRollsBack(t *testing.T) {
+func TestWriteCancelRollsBack(t *testing.T) {
 	const rows = 5000
 	db := bigJoinDB(t, rows)
 	before := mustExec(t, db, `SELECT SUM(v) FROM big`).Rows[0][0]
 
-	_, err := db.ExecContext(&errAfter{n: 3}, `UPDATE big SET v = v + 1`)
+	_, err := db.QueryContext(&errAfter{n: 3}, `UPDATE big SET v = v + 1`)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -112,7 +112,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	if _, err := db.QueryContext(cancelled, `SELECT * FROM emp`); !errors.Is(err, context.Canceled) {
 		t.Errorf("query err = %v, want context.Canceled", err)
 	}
-	if _, err := db.ExecContext(cancelled, `INSERT INTO dept VALUES (9, 'late')`); !errors.Is(err, context.Canceled) {
+	if _, err := db.QueryContext(cancelled, `INSERT INTO dept VALUES (9, 'late')`); !errors.Is(err, context.Canceled) {
 		t.Errorf("exec err = %v, want context.Canceled", err)
 	}
 	if res := mustExec(t, db, `SELECT COUNT(*) FROM dept`); res.Rows[0][0] != int64(3) {

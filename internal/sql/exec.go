@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/odbis/odbis/internal/fault"
 	"github.com/odbis/odbis/internal/obs"
 	"github.com/odbis/odbis/internal/storage"
 )
@@ -34,100 +33,23 @@ type Result struct {
 	Plan string
 }
 
-// Query parses and executes a statement inside its own transaction.
+// QueryContext prepares query and executes it in its own transaction.
 // Positional ? placeholders bind to args in order.
-func (db *DB) Query(query string, args ...storage.Value) (*Result, error) {
-	return db.QueryContext(context.Background(), query, args...)
-}
-
-// QueryContext is Query bound to ctx: the executor checks ctx at
-// row-granularity checkpoints (scans, joins, grouping, sorting), and a
-// cancelled or expired ctx aborts the statement with the ctx error after
-// rolling the transaction back.
 func (db *DB) QueryContext(ctx context.Context, query string, args ...storage.Value) (*Result, error) {
-	if st, ok := db.CachedSelect("", query); ok {
-		return st.QueryContext(ctx, args...)
-	}
-	stmt, err := Parse(query)
+	st, err := db.Prepare("", query, nil)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*SelectStmt); ok && PlanCacheEnabled() && !db.DisableIndexes {
-		return db.PrepareSelect("", query, sel).QueryContext(ctx, args...)
-	}
-	return db.QueryStatementContext(ctx, stmt, args...)
+	return st.QueryContext(ctx, args...)
 }
 
-// QueryTx executes a statement inside an existing transaction. The
-// executor observes the transaction's context (see Engine.BeginCtx).
+// QueryTx prepares query and executes it inside an existing transaction.
 func (db *DB) QueryTx(tx *storage.Tx, query string, args ...storage.Value) (*Result, error) {
-	if st, ok := db.CachedSelect("", query); ok {
-		return st.QueryTx(tx, args...)
-	}
-	stmt, err := Parse(query)
+	st, err := db.Prepare("", query, nil)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*SelectStmt); ok && PlanCacheEnabled() && !db.DisableIndexes {
-		return db.PrepareSelect("", query, sel).QueryTx(tx, args...)
-	}
-	return db.exec(tx, stmt, args)
-}
-
-// QueryStatement executes an already-parsed (possibly rewritten)
-// statement inside its own transaction.
-func (db *DB) QueryStatement(stmt Statement, args ...storage.Value) (*Result, error) {
-	return db.QueryStatementContext(context.Background(), stmt, args...)
-}
-
-// QueryStatementContext is QueryStatement bound to ctx.
-func (db *DB) QueryStatementContext(ctx context.Context, stmt Statement, args ...storage.Value) (*Result, error) {
-	ctx, span := obs.StartSpan(ctx, "sql.exec")
-	defer span.End()
-	var res *Result
-	err := db.Engine.UpdateCtx(ctx, func(tx *storage.Tx) error {
-		// The sql.exec point fires inside the transaction on purpose: a
-		// panic injected here unwinds through UpdateCtx's deferred
-		// rollback and on into the server's recovery middleware — the
-		// full "handler dies mid-transaction" drill.
-		if err := fault.PointCtx(ctx, fault.SQLExec); err != nil {
-			return err
-		}
-		var err error
-		res, err = db.exec(tx, stmt, args)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// QueryStatementTx executes an already-parsed statement inside an
-// existing transaction.
-func (db *DB) QueryStatementTx(tx *storage.Tx, stmt Statement, args ...storage.Value) (*Result, error) {
-	return db.exec(tx, stmt, args)
-}
-
-// Exec runs a statement and returns the affected row count.
-func (db *DB) Exec(query string, args ...storage.Value) (int, error) {
-	return db.ExecContext(context.Background(), query, args...)
-}
-
-// ExecContext is Exec bound to ctx.
-func (db *DB) ExecContext(ctx context.Context, query string, args ...storage.Value) (int, error) {
-	res, err := db.QueryContext(ctx, query, args...)
-	if err != nil {
-		return 0, err
-	}
-	return res.Affected, nil
-}
-
-func (db *DB) exec(tx *storage.Tx, stmt Statement, params []storage.Value) (*Result, error) {
-	ex := db.newExecutor(tx)
-	res, err := ex.run(stmt, params)
-	ex.flush()
-	return res, err
+	return st.QueryTx(tx, args...)
 }
 
 func (db *DB) newExecutor(tx *storage.Tx) *executor {

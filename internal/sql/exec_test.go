@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func newTestDB(t testing.TB) *DB {
 
 func mustExec(t testing.TB, db *DB, q string, args ...storage.Value) *Result {
 	t.Helper()
-	res, err := db.Query(q, args...)
+	res, err := db.QueryContext(context.Background(), q, args...)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", q, err)
 	}
@@ -414,7 +415,7 @@ func TestSelectWithoutFrom(t *testing.T) {
 
 func TestAmbiguousColumn(t *testing.T) {
 	db := newTestDB(t)
-	_, err := db.Query("SELECT name FROM emp e JOIN dept d ON e.dept_id = d.id")
+	_, err := db.QueryContext(context.Background(), "SELECT name FROM emp e JOIN dept d ON e.dept_id = d.id")
 	if err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Errorf("ambiguous column: %v", err)
 	}
@@ -435,7 +436,7 @@ func TestErrorCases(t *testing.T) {
 		"SELECT name FROM emp e JOIN emp e ON 1 = 1",
 	}
 	for _, q := range cases {
-		if _, err := db.Query(q); err == nil {
+		if _, err := db.QueryContext(context.Background(), q); err == nil {
 			t.Errorf("Query(%q) should fail", q)
 		}
 	}
@@ -444,7 +445,7 @@ func TestErrorCases(t *testing.T) {
 func TestTransactionalDML(t *testing.T) {
 	db := newTestDB(t)
 	// A failing multi-row insert must roll back entirely (same tx).
-	_, err := db.Query("INSERT INTO emp (id, name) VALUES (100, 'a'), (1, 'dup')")
+	_, err := db.QueryContext(context.Background(), "INSERT INTO emp (id, name) VALUES (100, 'a'), (1, 'dup')")
 	if err == nil {
 		t.Fatal("duplicate pk accepted")
 	}
@@ -594,10 +595,10 @@ func TestUnionThreeArms(t *testing.T) {
 
 func TestUnionErrors(t *testing.T) {
 	db := newTestDB(t)
-	if _, err := db.Query("SELECT id, name FROM dept UNION SELECT id FROM dept"); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT id, name FROM dept UNION SELECT id FROM dept"); err == nil {
 		t.Error("mismatched arity accepted")
 	}
-	if _, err := db.Query("SELECT id FROM dept UNION SELECT id FROM dept ORDER BY salary"); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT id FROM dept UNION SELECT id FROM dept ORDER BY salary"); err == nil {
 		t.Error("ORDER BY on non-output column accepted")
 	}
 }

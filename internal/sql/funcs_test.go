@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ func evalScalar(t *testing.T, expr string) storage.Value {
 	e := storage.MustOpenMemory()
 	defer e.Close()
 	db := NewDB(e)
-	res, err := db.Query("SELECT " + expr)
+	res, err := db.QueryContext(context.Background(), "SELECT "+expr)
 	if err != nil {
 		t.Fatalf("SELECT %s: %v", expr, err)
 	}
@@ -26,7 +27,7 @@ func evalScalarErr(t *testing.T, expr string) error {
 	t.Helper()
 	e := storage.MustOpenMemory()
 	defer e.Close()
-	_, err := NewDB(e).Query("SELECT " + expr)
+	_, err := NewDB(e).QueryContext(context.Background(), "SELECT "+expr)
 	return err
 }
 

@@ -174,82 +174,76 @@ func (db *DB) planCache() *PlanCache {
 	}).(*PlanCache)
 }
 
-// Stmt is a prepared SELECT: a handle onto a cache entry whose plan is
-// revalidated against the schema epoch on every execution. Handles are
-// cheap and safe for concurrent use; the underlying plan is immutable.
+// Stmt is a prepared statement of any kind. A SELECT prepared with the
+// cache on is a handle onto a cache entry whose plan is revalidated
+// against the schema epoch on every execution; everything else (DML,
+// DDL, EXPLAIN, or a SELECT while caching is off) is a one-shot handle
+// over the parsed statement. Handles are cheap and safe for concurrent
+// use; the statement and any plan behind them are immutable.
 type Stmt struct {
-	db *DB
-	e  *planEntry
+	db   *DB
+	stmt Statement
+	e    *planEntry // cached SELECTs only
 }
 
-// Statement returns the parsed SELECT the handle executes. Callers
-// must not mutate it.
-func (s *Stmt) Statement() *SelectStmt { return s.e.sel }
+// Statement returns the parsed (and, when Prepare was given a rewrite,
+// rewritten) statement the handle executes. Callers must not mutate it.
+func (s *Stmt) Statement() Statement { return s.stmt }
 
-// CachedSelect returns a prepared handle when (ns, text) is already
-// cached. A hit with a stale plan still returns the handle — the
-// replan happens at execution — but counts as a miss.
-func (db *DB) CachedSelect(ns, text string) (*Stmt, bool) {
-	if !planCacheOn.Load() || db.DisableIndexes {
-		return nil, false
+// Prepare turns statement text into an executable handle. It is the
+// only place a caller's text meets the plan cache or the parser: a
+// SELECT already cached under (ns, text) is returned without parsing —
+// counted as a hit, or as a miss when DDL has made its plan stale (the
+// replan happens at execution); any other text is parsed once, has its
+// table names mapped through rewrite (nil = none), and, when it is a
+// SELECT, is cached under (ns, text) and counted as the miss the parse
+// just paid. With caching off nothing is cached or counted.
+func (db *DB) Prepare(ns, text string, rewrite func(table string) string) (*Stmt, error) {
+	var c *PlanCache
+	if planCacheOn.Load() && !db.DisableIndexes {
+		c = db.planCache()
+		if e := c.lookup(ns, text); e != nil {
+			if e.fresh(db.Engine.SchemaEpoch()) {
+				c.hit()
+			} else {
+				c.miss()
+			}
+			return &Stmt{db: db, stmt: e.sel, e: e}, nil
+		}
 	}
-	c := db.planCache()
-	e := c.lookup(ns, text)
-	if e == nil {
-		return nil, false
+	stmt, err := Parse(text)
+	if err != nil {
+		return nil, err
 	}
-	if e.fresh(db.Engine.SchemaEpoch()) {
-		c.hit()
-	} else {
-		c.miss()
+	if rewrite != nil {
+		stmt = RewriteTables(stmt, rewrite)
 	}
-	return &Stmt{db: db, e: e}, true
-}
-
-// HasCachedSelect reports whether (ns, text) is cached, without
-// touching the hit/miss counters or the LRU order — a peek for layers
-// that only need to know the statement is a known SELECT.
-func (db *DB) HasCachedSelect(ns, text string) bool {
-	if !planCacheOn.Load() || db.DisableIndexes {
-		return false
+	sel, ok := stmt.(*SelectStmt)
+	if !ok || c == nil {
+		return &Stmt{db: db, stmt: stmt}, nil
 	}
-	c := db.planCache()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[cacheKey{ns: ns, text: text}]
-	return ok
-}
-
-// PrepareSelect caches an already-parsed (and possibly rewritten)
-// SELECT under (ns, text) and returns its handle. The insertion counts
-// as the miss that parsing just paid. With caching disabled the handle
-// works but nothing is cached or counted.
-func (db *DB) PrepareSelect(ns, text string, sel *SelectStmt) *Stmt {
-	if !planCacheOn.Load() || db.DisableIndexes {
-		return &Stmt{db: db, e: &planEntry{sel: sel}}
-	}
-	c := db.planCache()
 	c.miss()
-	return &Stmt{db: db, e: c.insert(ns, text, sel)}
+	return &Stmt{db: db, stmt: sel, e: c.insert(ns, text, sel)}, nil
 }
 
-// Query executes the prepared statement in its own transaction.
-func (s *Stmt) Query(args ...storage.Value) (*Result, error) {
-	return s.QueryContext(context.Background(), args...)
-}
-
-// QueryContext is Query bound to ctx; it follows the same span, fault
-// point, and transaction discipline as DB.QueryStatementContext.
+// QueryContext executes the statement in its own transaction. The
+// executor checks ctx at row-granularity checkpoints (scans, joins,
+// grouping, sorting); a cancelled or expired ctx aborts the statement
+// with the ctx error after rolling the transaction back.
 func (s *Stmt) QueryContext(ctx context.Context, args ...storage.Value) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "sql.exec")
 	defer span.End()
 	var res *Result
 	err := s.db.Engine.UpdateCtx(ctx, func(tx *storage.Tx) error {
+		// The sql.exec point fires inside the transaction on purpose: a
+		// panic injected here unwinds through UpdateCtx's deferred
+		// rollback and on into the server's recovery middleware — the
+		// full "handler dies mid-transaction" drill.
 		if err := fault.PointCtx(ctx, fault.SQLExec); err != nil {
 			return err
 		}
 		var err error
-		res, err = s.queryTx(tx, args)
+		res, err = s.QueryTx(tx, args...)
 		return err
 	})
 	if err != nil {
@@ -258,20 +252,18 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...storage.Value) (*Result
 	return res, nil
 }
 
-// QueryTx executes the prepared statement inside an existing
-// transaction.
+// QueryTx executes the statement inside an existing transaction. The
+// executor observes the transaction's context (see Engine.BeginCtx).
 func (s *Stmt) QueryTx(tx *storage.Tx, args ...storage.Value) (*Result, error) {
-	return s.queryTx(tx, args)
-}
-
-func (s *Stmt) queryTx(tx *storage.Tx, params []storage.Value) (*Result, error) {
-	p, err := s.e.resolve(s.db)
-	if err != nil {
-		return nil, err
-	}
 	ex := s.db.newExecutor(tx)
-	ex.plans = map[*SelectStmt]*Plan{s.e.sel: p}
-	res, err := ex.runSelect(s.e.sel, params, nil)
+	if s.e != nil {
+		p, err := s.e.resolve(s.db)
+		if err != nil {
+			return nil, err
+		}
+		ex.plans = map[*SelectStmt]*Plan{s.e.sel: p}
+	}
+	res, err := ex.run(s.stmt, args)
 	ex.flush()
 	return res, err
 }

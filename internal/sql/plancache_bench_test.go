@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -13,13 +14,13 @@ import (
 func BenchmarkPlanCacheHit(b *testing.B) {
 	db := bigJoinDB(b, 1000)
 	q := "SELECT SUM(v) FROM big WHERE dept_id = 1"
-	if _, err := db.Query(q); err != nil { // warm the cache
+	if _, err := db.QueryContext(context.Background(), q); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +37,7 @@ func BenchmarkPlanCacheMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(q); err != nil {
+		if _, err := db.QueryContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -119,7 +120,7 @@ func BenchmarkVectorQuery_SumScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := db.Query(q)
+		res, err := db.QueryContext(context.Background(), q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkPlanCacheHitParallel(b *testing.B) {
 	queries := make([]string, 8)
 	for i := range queries {
 		queries[i] = fmt.Sprintf("SELECT SUM(v) FROM big WHERE dept_id = %d", i%3+1)
-		if _, err := db.Query(queries[i]); err != nil {
+		if _, err := db.QueryContext(context.Background(), queries[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -146,7 +147,7 @@ func BenchmarkPlanCacheHitParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			if _, err := db.Query(queries[i%len(queries)]); err != nil {
+			if _, err := db.QueryContext(context.Background(), queries[i%len(queries)]); err != nil {
 				b.Fatal(err)
 			}
 			i++

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -106,9 +107,8 @@ func (c *constCursor) close() {
 // storage.BatchScanner; index paths evaluate the planned key
 // expressions once per execution and materialize the matching rows up
 // front (index lookups are snapshot reads, same as the row executor
-// did). A key expression that fails to evaluate degrades to a full
-// scan — mirroring the pre-planner behavior where a non-evaluable
-// bound never became an index path in the first place.
+// did). A key expression that fails to evaluate, or an index dropped
+// since the plan was resolved, degrades to a full scan.
 type scanCursor struct {
 	ex     *executor
 	step   *scanStep
@@ -166,19 +166,28 @@ func (c *scanCursor) open() error {
 		c.rows = append(c.rows, row)
 		return true
 	}
-	switch access {
-	case accessIndexEq:
-		return c.ex.tx.LookupEqual(c.step.table, c.step.index, key, collect)
-	case accessIndexRange:
-		return c.ex.tx.ScanRange(c.step.table, c.step.index, lo, hi, collect)
-	default:
-		sc, err := c.ex.tx.NewBatchScanner(c.step.table)
-		if err != nil {
+	if access != accessFull {
+		var err error
+		if access == accessIndexEq {
+			err = c.ex.tx.LookupEqual(c.step.table, c.step.index, key, collect)
+		} else {
+			err = c.ex.tx.ScanRange(c.step.table, c.step.index, lo, hi, collect)
+		}
+		// The plan was validated against the schema epoch when it was
+		// resolved, but the index is looked up by name only now: a DROP
+		// INDEX committed in between must cost a full scan, not the
+		// statement. The WHERE clause stays the residual filter, so the
+		// scan returns the same rows.
+		if !errors.Is(err, storage.ErrNoIndex) {
 			return err
 		}
-		c.sc = sc
-		return nil
 	}
+	sc, err := c.ex.tx.NewBatchScanner(c.step.table)
+	if err != nil {
+		return err
+	}
+	c.sc = sc
+	return nil
 }
 
 func (c *scanCursor) next() (*storage.Batch, error) {

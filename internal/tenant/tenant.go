@@ -408,11 +408,41 @@ func (c *Catalog) logical(physical string) string {
 	return strings.TrimPrefix(physical, c.prefix)
 }
 
-// Query executes SQL with logical table names, metering the call. ctx
-// bounds the statement: cancellation or deadline expiry aborts execution
-// at the next row checkpoint and the transaction rolls back.
+// Query executes SQL with logical table names on the shared engine,
+// metering the call. ctx bounds the statement: cancellation or deadline
+// expiry aborts execution at the next row checkpoint and the
+// transaction rolls back.
 func (c *Catalog) Query(ctx context.Context, query string, args ...storage.Value) (*sql.Result, error) {
-	res, err := c.queryDB(ctx, c.db, query, args)
+	st, err := c.Prepare(c.db.Engine, query)
+	if err != nil {
+		return nil, err
+	}
+	return c.Run(ctx, st, args...)
+}
+
+// Prepare resolves query in the tenant's namespace on eng — the shared
+// engine, or a read replica built from its frames. Plans are cached per
+// engine under (tenant, text) and store the already-namespaced
+// statement, so a SELECT this tenant has run on eng before skips parse
+// and rewrite, and a plan compiled against one engine's schema epoch
+// never executes on another. Callers that need the statement's kind
+// before running it (authority, replica routing) read it off the handle.
+func (c *Catalog) Prepare(eng *storage.Engine, query string) (*sql.Stmt, error) {
+	db := c.db
+	if eng != db.Engine {
+		db = sql.NewDB(eng)
+	}
+	return db.Prepare(c.id, query, c.physical)
+}
+
+// Run executes a handle from Prepare on the engine it was prepared for:
+// suspension and plan quotas are re-checked on every call, and a
+// successful call is metered.
+func (c *Catalog) Run(ctx context.Context, st *sql.Stmt, args ...storage.Value) (*sql.Result, error) {
+	if err := c.checkQuota(ctx, st.Statement()); err != nil {
+		return nil, err
+	}
+	res, err := st.QueryContext(ctx, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -421,55 +451,6 @@ func (c *Catalog) Query(ctx context.Context, query string, args ...storage.Value
 		c.reg.Record(c.id, MetricRowsLoaded, int64(res.Affected))
 	}
 	return res, nil
-}
-
-// QueryOn is Query against an alternate engine — a read replica — with
-// the same namespace rewriting, quota checks, and metering. The replica
-// engine carries its own plan cache (a per-engine attachment) whose
-// entries invalidate under the replica's own schema epoch as DDL frames
-// apply, so cached plans never cross engines.
-func (c *Catalog) QueryOn(ctx context.Context, eng *storage.Engine, query string, args ...storage.Value) (*sql.Result, error) {
-	res, err := c.queryDB(ctx, sql.NewDB(eng), query, args)
-	if err != nil {
-		return nil, err
-	}
-	c.reg.Record(c.id, MetricQueries, 1)
-	if res.Affected > 0 {
-		c.reg.Record(c.id, MetricRowsLoaded, int64(res.Affected))
-	}
-	return res, nil
-}
-
-func (c *Catalog) queryDB(ctx context.Context, db *sql.DB, query string, args []storage.Value) (*sql.Result, error) {
-	// Prepared fast path: a SELECT this tenant has run before skips
-	// parse and rewrite entirely — the cache is keyed by (tenant, text)
-	// and stores the already-namespaced statement. Suspension and plan
-	// validity are still re-checked on every call.
-	if st, ok := c.db.CachedSelect(c.id, query); ok {
-		if err := c.checkQuota(ctx, st.Statement()); err != nil {
-			return nil, err
-		}
-		return st.QueryContext(ctx, args...)
-	}
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.checkQuota(ctx, stmt); err != nil {
-		return nil, err
-	}
-	rewritten := sql.RewriteTables(stmt, c.physical)
-	if sel, ok := rewritten.(*sql.SelectStmt); ok {
-		return c.db.PrepareSelect(c.id, query, sel).QueryContext(ctx, args...)
-	}
-	return c.db.QueryStatementContext(ctx, rewritten, args...)
-}
-
-// HasCachedSelect reports whether query is a SELECT already compiled
-// into this tenant's plan cache. The metadata service uses this to
-// classify repeated dashboard queries without re-parsing them.
-func (c *Catalog) HasCachedSelect(query string) bool {
-	return c.db.HasCachedSelect(c.id, query)
 }
 
 // Exec is Query returning only the affected count.

@@ -1,11 +1,13 @@
 package tenant
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
 	"testing"
 
+	"github.com/odbis/odbis/internal/sql"
 	"github.com/odbis/odbis/internal/storage"
 )
 
@@ -269,4 +271,85 @@ func TestPlans(t *testing.T) {
 	if err := r.SetPlan("nobody", "standard"); !errors.Is(err, ErrNoTenant) {
 		t.Errorf("set plan on missing tenant: %v", err)
 	}
+}
+
+// TestPrepareRunsOnTheGivenEngine: a handle prepared for a second engine
+// — a replica built from the primary's dump, then left behind — reads
+// that engine's rows through that engine's plan cache, with the same
+// namespace rewrite and metering as a primary read.
+func TestPrepareRunsOnTheGivenEngine(t *testing.T) {
+	r := newRegistry(t)
+	r.Create("acme", "Acme", "standard")
+	cat, err := r.Catalog("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	mustExec := func(q string) {
+		t.Helper()
+		if _, err := cat.Exec(ctx, q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	mustExec("CREATE TABLE sales (region TEXT, amount INT)")
+	mustExec("INSERT INTO sales VALUES ('north', 10), ('south', 20)")
+
+	var dump bytes.Buffer
+	if err := r.Engine().DumpState(&dump); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := storage.OpenFromDump(dump.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	mustExec("INSERT INTO sales VALUES ('west', 30)") // the primary moves on; the replica does not
+
+	const q = "SELECT region FROM sales ORDER BY region"
+	regions := func(res *sql.Result) string {
+		var out []string
+		for _, row := range res.Rows {
+			out = append(out, row[0].(string))
+		}
+		return strings.Join(out, ",")
+	}
+	res, err := cat.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := regions(res); got != "north,south,west" {
+		t.Fatalf("primary rows = %s", got)
+	}
+
+	primaryBefore, replicaBefore := sql.NewDB(r.Engine()).PlanCacheStats(), sql.NewDB(replica).PlanCacheStats()
+	queriesBefore := r.pendingFor("acme", MetricQueries)
+	for i := 0; i < 2; i++ {
+		st, err := cat.Prepare(replica, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cat.Run(ctx, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := regions(res); got != "north,south" {
+			t.Fatalf("read %d prepared for the replica returned %s, want the replica's rows north,south", i, got)
+		}
+	}
+	if got := sql.NewDB(r.Engine()).PlanCacheStats(); got != primaryBefore {
+		t.Errorf("primary plan cache moved %+v -> %+v on replica reads", primaryBefore, got)
+	}
+	got := sql.NewDB(replica).PlanCacheStats()
+	if got.Misses != replicaBefore.Misses+1 || got.Hits != replicaBefore.Hits+1 {
+		t.Errorf("replica plan cache %+v -> %+v, want one miss then one hit", replicaBefore, got)
+	}
+	if n := r.pendingFor("acme", MetricQueries) - queriesBefore; n != 2 {
+		t.Errorf("replica reads metered %d queries, want 2", n)
+	}
+}
+
+func (r *Registry) pendingFor(id, metric string) int64 {
+	r.recMu.Lock()
+	defer r.recMu.Unlock()
+	return r.pending[id+"|"+metric]
 }

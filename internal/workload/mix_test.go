@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -35,7 +36,7 @@ func runMix(t *testing.T, hSeed, rSeed int64) []string {
 		 FROM fact_sales f JOIN dim_product p ON f.product_id = p.id
 		 GROUP BY p.category ORDER BY p.category`,
 	} {
-		res, err := db.Query(q)
+		res, err := db.QueryContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("mix query %q: %v", q, err)
 		}
@@ -69,7 +70,7 @@ func TestRetailFactFingerprintDeterministic(t *testing.T) {
 		if _, err := (Retail{Facts: 500, Seed: seed}).Load(e, nil); err != nil {
 			t.Fatal(err)
 		}
-		res, err := sql.NewDB(e).Query(
+		res, err := sql.NewDB(e).QueryContext(context.Background(),
 			"SELECT COUNT(*), SUM(amount), SUM(qty), MIN(amount), MAX(amount) FROM fact_sales")
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -20,7 +21,7 @@ func TestMixStatementsExecute(t *testing.T) {
 	m := Mix{WritePct: 30}
 	rng := rand.New(rand.NewSource(42))
 	for _, s := range m.SetupStmts(rng, 50) {
-		if _, err := db.Query(s.SQL, s.Args...); err != nil {
+		if _, err := db.QueryContext(context.Background(), s.SQL, s.Args...); err != nil {
 			t.Fatalf("setup %q: %v", s.SQL, err)
 		}
 	}
@@ -30,7 +31,7 @@ func TestMixStatementsExecute(t *testing.T) {
 		if s.Write {
 			writes++
 		}
-		if _, err := db.Query(s.SQL, s.Args...); err != nil {
+		if _, err := db.QueryContext(context.Background(), s.SQL, s.Args...); err != nil {
 			t.Fatalf("mix stmt %q args %v: %v", s.SQL, s.Args, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestHealthcareLoad(t *testing.T) {
 		t.Fatalf("load: %v n=%d", err, n)
 	}
 	db := sql.NewDB(e)
-	res, err := db.Query("SELECT COUNT(DISTINCT ward), COUNT(DISTINCT month) FROM admissions")
+	res, err := db.QueryContext(context.Background(), "SELECT COUNT(DISTINCT ward), COUNT(DISTINCT month) FROM admissions")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRetailLoad(t *testing.T) {
 		t.Fatalf("load: %v n=%d", err, n)
 	}
 	db := sql.NewDB(e)
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		SELECT d.year, SUM(f.amount)
 		FROM fact_sales f JOIN dim_date d ON f.date_id = d.id
 		GROUP BY d.year ORDER BY d.year`)
@@ -66,7 +67,7 @@ func TestRetailLoad(t *testing.T) {
 		t.Errorf("years = %v", res.Rows)
 	}
 	// FK integrity: every fact joins a product.
-	res, _ = db.Query(`
+	res, _ = db.QueryContext(context.Background(), `
 		SELECT COUNT(*) FROM fact_sales f
 		LEFT JOIN dim_product p ON f.product_id = p.id
 		WHERE p.id IS NULL`)
