@@ -23,9 +23,7 @@ import (
 //   - string concatenation building a value per iteration;
 //   - append to a slice declared without capacity when the loop ranges
 //     over something with a knowable length — carries a SuggestedFix
-//     preallocating with make(T, 0, len(src)); slices drawn from a
-//     Get/Put recycler (e.g. storage.BatchPool) are exempt, since
-//     their backing arrays persist across requests;
+//     preallocating with make(T, 0, len(src));
 //   - loop-invariant map/slice composite literals — same value rebuilt
 //     every iteration;
 //   - loop-invariant closures — a fresh closure allocation per
@@ -75,11 +73,6 @@ type hotScanner struct {
 	suffix string
 	info   *types.Info
 	seen   map[string]bool // dedupe key: kind + position
-
-	// recycled holds locals drawn from a Get/Put recycler (computed
-	// lazily, only when an append finding is about to fire).
-	recycled     map[types.Object]bool
-	recycledDone bool
 }
 
 func (h *hotScanner) report(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
@@ -374,13 +367,6 @@ func (h *hotScanner) checkAppendGrowth(s *ast.AssignStmt, loop ast.Stmt) bool {
 	if obj == nil {
 		return false
 	}
-	if h.isRecycled(obj) {
-		// The slice comes from a pool (assigned from <recv>.Get where
-		// recv's type also has Put): its backing array survives across
-		// requests, so growth amortizes to zero — exactly the fix this
-		// finding would otherwise recommend.
-		return false
-	}
 	decl := h.findBareDecl(obj, loop)
 	if decl == nil {
 		return false // declared with capacity, a parameter, or not visible: fine
@@ -397,58 +383,6 @@ func (h *hotScanner) checkAppendGrowth(s *ast.AssignStmt, loop ast.Stmt) bool {
 		h.report(s.Pos(), nil, msg+"; preallocate with make(%s, 0, n) for a known bound n", lhs.Name, typeString(sliceT, h.fi.Pkg.Types))
 	}
 	return true
-}
-
-// isRecycled reports whether obj is fed by a pool anywhere in the
-// function: assigned from a Get method call on a value whose static
-// type also carries a Put method (a free-list / sync.Pool-shaped
-// recycler). The pre-pass over the whole body runs once per function,
-// and only for functions where an append finding is about to fire.
-func (h *hotScanner) isRecycled(obj types.Object) bool {
-	if !h.recycledDone {
-		h.recycledDone = true
-		ast.Inspect(h.fi.Decl.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, rhs := range as.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !h.recyclerGet(call) {
-					continue
-				}
-				id, ok := ast.Unparen(as.Lhs[i]).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if o := objOf(h.info, id); o != nil {
-					if h.recycled == nil {
-						h.recycled = map[types.Object]bool{}
-					}
-					h.recycled[o] = true
-				}
-			}
-			return true
-		})
-	}
-	return h.recycled[obj]
-}
-
-// recyclerGet matches `<recv>.Get(...)` where recv's static type also
-// has a Put method. Get without a matching Put is not a recycler —
-// the value never comes back, so growth is not amortized.
-func (h *hotScanner) recyclerGet(call *ast.CallExpr) bool {
-	fn, _ := calleeObj(h.info, call).(*types.Func)
-	if fn == nil || fn.Name() != "Get" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	put, _, _ := types.LookupFieldOrMethod(sig.Recv().Type(), true, fn.Pkg(), "Put")
-	_, isFunc := put.(*types.Func)
-	return isFunc
 }
 
 // bareDecl is a capacity-less slice declaration that a fix can rewrite.

@@ -65,8 +65,7 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		}
 		setPos[i] = pos
 	}
-	bindName := strings.ToLower(upd.Table)
-	bindings := []binding{{name: bindName, cols: lowerCols(schema)}}
+	view := ex.newRowView([]binding{{name: strings.ToLower(upd.Table), cols: lowerCols(schema)}}, nil, params)
 
 	// Collect targets first (RIDs + current rows), then apply updates.
 	type target struct {
@@ -86,10 +85,9 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		if err := ex.step(); err != nil {
 			return nil, err
 		}
-		ec := &evalCtx{params: params, exec: ex, now: ex.now,
-			row: makeEnv(bindings, joined{tgt.row}, nil)}
+		view.setRow(0, tgt.row)
 		if upd.Where != nil {
-			ok, err := ec.evalBool(upd.Where)
+			ok, err := view.ec.evalBool(upd.Where)
 			if err != nil {
 				return nil, err
 			}
@@ -99,7 +97,7 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		}
 		newRow := tgt.row.Clone()
 		for i, a := range upd.Set {
-			v, err := ec.eval(a.Value)
+			v, err := view.ec.eval(a.Value)
 			if err != nil {
 				return nil, err
 			}
@@ -118,21 +116,30 @@ func (ex *executor) runDelete(del *DeleteStmt, params []storage.Value) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	bindName := strings.ToLower(del.Table)
-	bindings := []binding{{name: bindName, cols: lowerCols(schema)}}
+	view := ex.newRowView([]binding{{name: strings.ToLower(del.Table), cols: lowerCols(schema)}}, nil, params)
 	var rids []storage.RID
+	var predErr error
 	err = ex.tx.Scan(del.Table, func(rid storage.RID, row storage.Row) bool {
+		if predErr = ex.step(); predErr != nil {
+			return false
+		}
 		if del.Where != nil {
-			ec := &evalCtx{params: params, exec: ex, now: ex.now,
-				row: makeEnv(bindings, joined{row}, nil)}
-			ok, err := ec.evalBool(del.Where)
-			if err != nil || !ok {
+			view.setRow(0, row)
+			ok, err := view.ec.evalBool(del.Where)
+			if err != nil {
+				predErr = err
+				return false
+			}
+			if !ok {
 				return true
 			}
 		}
 		rids = append(rids, rid)
 		return true
 	})
+	if err == nil {
+		err = predErr
+	}
 	if err != nil {
 		return nil, err
 	}

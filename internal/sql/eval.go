@@ -32,13 +32,11 @@ type rowEnv struct {
 type boundTable struct {
 	name string // alias or table name, lower-cased
 	cols []string
-	vals storage.Row // nil for the null-extended side of a LEFT JOIN
-	// bcols, when non-nil, binds the table to batch columns instead of
-	// vals: column j of the current row is bcols[j][*cur]. The batch
-	// executor repositions *cur instead of rebuilding the environment
-	// per row (vexec.go).
-	bcols [][]storage.Value
-	cur   *int
+	// vals is the stored row currently bound; nil reads every column as
+	// NULL (null-extended side of a LEFT JOIN, empty group). A rowView
+	// re-points it per row instead of rebuilding the environment
+	// (pipeline.go).
+	vals storage.Row
 }
 
 func (r *rowEnv) lookup(table, column string) (storage.Value, error) {
@@ -53,12 +51,8 @@ func (r *rowEnv) lookup(table, column string) (storage.Value, error) {
 		for j, c := range bt.cols {
 			if c == cl {
 				hits++
-				switch {
-				case bt.bcols != nil:
-					found = bt.bcols[j][*bt.cur]
-				case bt.vals == nil:
-					found = nil
-				default:
+				found = nil
+				if bt.vals != nil {
 					found = bt.vals[j]
 				}
 			}

@@ -108,8 +108,6 @@ type executor struct {
 	now    time.Time
 	ticks  int
 	yields int
-	// pool recycles batches across this statement's operators.
-	pool storage.BatchPool
 	// plans memoizes compiled plans per statement node for the duration
 	// of one top-level statement, so a correlated subquery planned once
 	// is reused for every outer row. The top-level entry may be seeded
@@ -129,8 +127,8 @@ func (ex *executor) step() error {
 	return ex.ctx.Err()
 }
 
-// joined is one row of the join pipeline: one storage.Row per bound table
-// (nil = null-extended LEFT side).
+// joined is one row of the join pipeline: one reference to a stored
+// storage.Row per bound table (nil = null-extended LEFT side).
 type joined []storage.Row
 
 // binding describes one FROM entry's name and columns.
@@ -151,23 +149,8 @@ func lowerCols(s *storage.Schema) []string {
 	return cols
 }
 
-// env builds a rowEnv for one joined row.
-func makeEnv(bindings []binding, row joined, outer *rowEnv) *rowEnv {
-	env := &rowEnv{outer: outer, tables: make([]boundTable, len(bindings))}
-	for i, b := range bindings {
-		var vals storage.Row
-		if i < len(row) {
-			vals = row[i]
-		}
-		// vals stays nil for the synthetic empty-group row of a grouped
-		// query over zero input rows: every column reads as NULL.
-		env.tables[i] = boundTable{name: b.name, cols: b.cols, vals: vals}
-	}
-	return env
-}
-
 // runSelect executes a SELECT through the compiled read path: resolve
-// (or build) the plan, then run it batch-at-a-time. outer supplies
+// (or build) the plan, then run it (pipeline.go). outer supplies
 // bindings for correlated subqueries.
 func (ex *executor) runSelect(sel *SelectStmt, params []storage.Value, outer *rowEnv) (*Result, error) {
 	p, err := ex.planFor(sel)

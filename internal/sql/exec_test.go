@@ -338,6 +338,44 @@ func TestInsertUpdateDelete(t *testing.T) {
 	}
 }
 
+// TestDeleteReportsPredicateErrors: a WHERE clause that fails to
+// evaluate fails the DELETE — like the same predicate on UPDATE and
+// SELECT — and the statement's transaction rolls back with nothing
+// deleted, including rows that matched before the failing one.
+func TestDeleteReportsPredicateErrors(t *testing.T) {
+	db := newTestDB(t)
+	for _, c := range []struct{ q, want string }{
+		{"DELETE FROM emp WHERE nosuch = 1", `unknown column "nosuch"`},
+		{"DELETE FROM emp WHERE 10 / (id - 3) < 0", "division by zero"}, // ids 1, 2 match first
+	} {
+		_, err := db.QueryContext(context.Background(), c.q)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.q, err, c.want)
+		}
+		upd := strings.Replace(c.q, "DELETE FROM emp", "UPDATE emp SET salary = 0", 1)
+		if _, uerr := db.QueryContext(context.Background(), upd); fmt.Sprint(uerr) != fmt.Sprint(err) {
+			t.Errorf("%s: DELETE err %v, UPDATE err %v — want the same", c.q, err, uerr)
+		}
+	}
+	if r := mustExec(t, db, "SELECT COUNT(*) FROM emp"); r.Rows[0][0] != int64(6) {
+		t.Errorf("count after failed deletes = %v, want 6", r.Rows[0][0])
+	}
+}
+
+// TestDeleteCountsScannedRows: the DELETE filter phase runs the
+// executor checkpoint once per scanned row, so the rows it reads show
+// in odbis_sql_rows_scanned_total even when none match.
+func TestDeleteCountsScannedRows(t *testing.T) {
+	db := newTestDB(t)
+	before := mSQLRows.Value()
+	if res := mustExec(t, db, "DELETE FROM emp WHERE salary < 0"); res.Affected != 0 {
+		t.Fatalf("affected = %d, want 0", res.Affected)
+	}
+	if got := mSQLRows.Value() - before; got != 6 {
+		t.Errorf("rows scanned by a 6-row DELETE filter = %d, want 6", got)
+	}
+}
+
 func TestInsertDefaults(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "INSERT INTO emp (id, name) VALUES (20, 'def')")

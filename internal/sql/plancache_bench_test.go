@@ -63,57 +63,9 @@ func vecScanDB(b *testing.B) *DB {
 	return db
 }
 
-// BenchmarkVectorScan streams the table batch-at-a-time through
-// storage.BatchScanner — the access pattern of the vectorized SQL
-// executor. BenchmarkRowScan is the row-at-a-time Tx.Scan baseline it
-// replaced; the per-op delta is the batching win at the storage edge.
-func BenchmarkVectorScan(b *testing.B) {
-	db := vecScanDB(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		err := db.Engine.View(func(tx *storage.Tx) error {
-			return tx.ScanBatches("vec", execBatchRows, func(batch *storage.Batch) error {
-				col := batch.Cols[1]
-				for r := 0; r < batch.Len(); r++ {
-					sum += col[r].(float64)
-				}
-				return nil
-			})
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum == 0 {
-			b.Fatal("empty scan")
-		}
-	}
-}
-
-func BenchmarkRowScan(b *testing.B) {
-	db := vecScanDB(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var sum float64
-		err := db.Engine.View(func(tx *storage.Tx) error {
-			return tx.Scan("vec", func(_ storage.RID, row storage.Row) bool {
-				sum += row[1].(float64)
-				return true
-			})
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sum == 0 {
-			b.Fatal("empty scan")
-		}
-	}
-}
-
 // BenchmarkVectorQuery_SumScan is the end-to-end SQL aggregate over
-// the same table — the number the Figure 4 SQL-layer budget tracks.
+// the 20k-row table storage's BenchmarkRowScan/BenchmarkVectorScan
+// walk — the number the Figure 4 SQL-layer budget tracks.
 func BenchmarkVectorQuery_SumScan(b *testing.B) {
 	db := vecScanDB(b)
 	q := "SELECT SUM(v) FROM vec"

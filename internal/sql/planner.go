@@ -10,7 +10,7 @@ import (
 
 // This file is the planning phase of the read path. Planning runs once
 // per distinct statement text and produces an immutable *Plan that the
-// batch executor (vexec.go) can run any number of times with different
+// executor (pipeline.go) can run any number of times with different
 // parameter bindings: index selection is structural (shape of the WHERE
 // conjuncts), and every value that can differ between executions —
 // placeholder arguments, NOW(), subquery results — stays an Expr in the
@@ -30,7 +30,6 @@ const (
 // scanStep describes how one FROM table is read.
 type scanStep struct {
 	table  string
-	width  int // column count of the table
 	access accessKind
 	index  string // index name for accessIndexEq / accessIndexRange
 	// eqKey holds one constant-foldable expression per index column
@@ -65,8 +64,6 @@ type joinStep struct {
 // column names — happened at plan time.
 type selectPlan struct {
 	bindings []binding
-	colOff   []int // start offset of each binding in the joined row
-	width    int   // total joined-row width
 	base     scanStep
 	joins    []joinStep
 	where    Expr
@@ -191,7 +188,7 @@ func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
 			return nil, err
 		}
 		sp.bindings = append(sp.bindings, binding{name: strings.ToLower(first.Name()), cols: lowerCols(schema)})
-		base, err := planScan(db, first.Table, sp.bindings[0].name, sel.Where, len(schema.Columns))
+		base, err := planScan(db, first.Table, sp.bindings[0].name, sel.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +205,7 @@ func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
 				}
 			}
 			js := joinStep{
-				scan: scanStep{table: ref.Table, access: accessFull, width: len(schema.Columns)},
+				scan: scanStep{table: ref.Table, access: accessFull},
 				kind: ref.Join,
 				on:   ref.On,
 			}
@@ -226,14 +223,6 @@ func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
 			sp.access = "index:" + sp.base.index
 		}
 	}
-
-	sp.colOff = make([]int, len(sp.bindings))
-	w := 0
-	for i, b := range sp.bindings {
-		sp.colOff[i] = w
-		w += len(b.cols)
-	}
-	sp.width = w
 
 	groupBy, err := resolveRefs(sel.GroupBy, sel.Items)
 	if err != nil {
@@ -284,8 +273,8 @@ func planCore(db *DB, sel *SelectStmt) (*selectPlan, error) {
 // structural shape of the WHERE conjuncts: an equality probe when
 // bounds cover a full index key, else a half-open range on a btree
 // index, else a full scan. The bound values stay expressions.
-func planScan(db *DB, table, bindName string, where Expr, width int) (scanStep, error) {
-	step := scanStep{table: table, width: width, access: accessFull}
+func planScan(db *DB, table, bindName string, where Expr) (scanStep, error) {
+	step := scanStep{table: table, access: accessFull}
 	if where == nil || db.DisableIndexes {
 		return step, nil
 	}

@@ -3,181 +3,52 @@ package storage
 import "fmt"
 
 // Batch is a column-major block of rows: Cols[c][r] is column c of row
-// r. The SQL executor's vectorized operators pass batches between each
-// other instead of materializing one []Row per operator, and bind
-// expression evaluation directly to the column slices — one batch
-// allocation is amortized over every row it carries.
-//
-// The row count is tracked separately from the column slice lengths so
-// operators can compact a batch in place (filtering) without
-// re-slicing every column: readers must use Len(), not len(Cols[c]).
+// r, for r < Len(). It exists for Tx.ScanBatches, the whole-table block
+// API of the two callers that read a few columns of every row — the
+// OLAP cube build and the benchmark's storage rung. The SQL executor
+// does not use it: rows are stored row-major, so it passes references
+// to the stored rows instead of transposing them.
 type Batch struct {
-	// Cols holds one value slice per column. All columns carry at
-	// least Len() values.
+	// Cols holds one value slice per table column. The values are
+	// shared with the storage layer and must not be mutated.
 	Cols [][]Value
 	n    int
-}
-
-// NewBatch returns an empty batch with the given column count.
-func NewBatch(width int) *Batch {
-	b := &Batch{}
-	b.Reset(width)
-	return b
-}
-
-// Reset empties the batch and reshapes it to width columns, keeping
-// the column backing arrays for reuse.
-func (b *Batch) Reset(width int) {
-	if cap(b.Cols) < width {
-		old := b.Cols
-		b.Cols = make([][]Value, width)
-		copy(b.Cols, old)
-	} else {
-		b.Cols = b.Cols[:width]
-	}
-	for i := range b.Cols {
-		b.Cols[i] = b.Cols[i][:0]
-	}
-	b.n = 0
 }
 
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// SetLen declares the row count after the caller has written the
-// column slices directly (e.g. in-place compaction).
-func (b *Batch) SetLen(n int) { b.n = n }
-
-// Width returns the number of columns.
-func (b *Batch) Width() int { return len(b.Cols) }
-
-// PushRow appends one row-major row. len(row) must equal Width().
-func (b *Batch) PushRow(row Row) {
-	for i := range b.Cols {
-		b.Cols[i] = append(b.Cols[i], row[i])
-	}
-	b.n++
-}
-
-// Value returns column col of row r.
-func (b *Batch) Value(col, r int) Value { return b.Cols[col][r] }
-
-// Row copies row r into dst (grown as needed) and returns it.
-func (b *Batch) Row(r int, dst Row) Row {
-	dst = dst[:0]
-	for c := range b.Cols {
-		dst = append(dst, b.Cols[c][r])
-	}
-	return dst
-}
-
-// BatchPool recycles batches within one executor. Get and Put follow
-// the usual free-list discipline; a batch obtained from Get is reused
-// storage, not a fresh allocation, so per-iteration Get/Put cycles do
-// not churn the garbage collector.
-type BatchPool struct {
-	free []*Batch
-}
-
-// Get returns an empty batch with the given width, reusing a released
-// batch when one is available.
-func (p *BatchPool) Get(width int) *Batch {
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		b.Reset(width)
-		return b
-	}
-	return NewBatch(width)
-}
-
-// Put releases a batch back to the pool. The caller must not use b
-// afterwards.
-func (p *BatchPool) Put(b *Batch) {
-	if b == nil {
-		return
-	}
-	p.free = append(p.free, b)
-}
-
-// BatchScanner streams the visible rows of one table in insertion
-// order, batch-at-a-time. Like Scan it iterates the snapshot taken at
-// creation, holds no locks between Next calls, and pays the
-// cooperative-cancellation checkpoint every ctxCheckEvery rows.
-type BatchScanner struct {
-	tx      *Tx
-	width   int
-	matches []match
-	pos     int
-}
-
-// NewBatchScanner starts a batched scan of tableName. The visible row
-// set is pinned when the scanner is created (same snapshot rule as
-// Scan).
-func (tx *Tx) NewBatchScanner(tableName string) (*BatchScanner, error) {
-	if err := tx.check(); err != nil {
-		return nil, err
-	}
-	t, err := tx.e.getTable(tableName)
-	if err != nil {
-		return nil, err
-	}
-	tx.e.statsReads.Add(1)
-	matches := tx.collectVisible(t, func() []rowID {
-		//odbis:ignore staticrace -- pick runs inside collectVisible under t.mu.RLock
-		ids := make([]rowID, len(t.versions))
-		for i := range ids {
-			ids[i] = rowID(i)
-		}
-		return ids
-	})
-	return &BatchScanner{tx: tx, width: len(t.schema.Columns), matches: matches}, nil
-}
-
-// Width returns the column count of the scanned table.
-func (s *BatchScanner) Width() int { return s.width }
-
-// Next resets b to the table width and fills it with up to max rows.
-// It returns the number of rows delivered; 0 means the scan is done.
-// The values in b are shared with the storage layer and must not be
-// mutated.
-func (s *BatchScanner) Next(b *Batch, max int) (int, error) {
-	b.Reset(s.width)
-	n := 0
-	for n < max && s.pos < len(s.matches) {
-		if err := s.tx.stepCtx(s.pos); err != nil {
-			return 0, err
-		}
-		b.PushRow(s.matches[s.pos].row)
-		s.pos++
-		n++
-	}
-	return n, nil
-}
-
-// ScanBatches visits every visible row of the table through a reused
-// batch of at most size rows per callback. The batch is only valid
+// ScanBatches visits every visible row of the table in insertion order
+// through a reused batch of at most size rows per callback. Like Scan
+// it iterates the snapshot taken when it was called and checks the
+// transaction context every ctxCheckEvery rows. The batch is only valid
 // for the duration of fn; fn must copy anything it keeps.
 func (tx *Tx) ScanBatches(tableName string, size int, fn func(*Batch) error) error {
 	if size <= 0 {
 		return fmt.Errorf("storage: ScanBatches size must be positive, got %d", size)
 	}
-	s, err := tx.NewBatchScanner(tableName)
-	if err != nil {
+	matches, err := tx.visibleRows(tableName)
+	if err != nil || len(matches) == 0 {
 		return err
 	}
-	b := NewBatch(s.width)
-	for {
-		n, err := s.Next(b, size)
-		if err != nil {
-			return err
+	b := &Batch{Cols: make([][]Value, len(matches[0].row))}
+	for start := 0; start < len(matches); start += size {
+		end := min(start+size, len(matches))
+		for c := range b.Cols {
+			b.Cols[c] = b.Cols[c][:0]
 		}
-		if n == 0 {
-			return nil
+		for i := start; i < end; i++ {
+			if err := tx.stepCtx(i); err != nil {
+				return err
+			}
+			for c, v := range matches[i].row {
+				b.Cols[c] = append(b.Cols[c], v)
+			}
 		}
+		b.n = end - start
 		if err := fn(b); err != nil {
 			return err
 		}
 	}
+	return nil
 }

@@ -2,64 +2,15 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
-func TestBatchPushAndCompact(t *testing.T) {
-	b := NewBatch(2)
-	if b.Width() != 2 || b.Len() != 0 {
-		t.Fatalf("fresh batch: width=%d len=%d", b.Width(), b.Len())
-	}
-	b.PushRow(Row{int64(1), "a"})
-	b.PushRow(Row{int64(2), "b"})
-	b.PushRow(Row{int64(3), "c"})
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", b.Len())
-	}
-	if got := b.Value(1, 2); got != "c" {
-		t.Fatalf("Value(1,2) = %v, want c", got)
-	}
-	row := b.Row(1, nil)
-	if len(row) != 2 || row[0] != int64(2) || row[1] != "b" {
-		t.Fatalf("Row(1) = %v", row)
-	}
-
-	// In-place compaction: keep rows 0 and 2 and shrink via SetLen.
-	// Column slices stay full length; readers must honor Len().
-	for c := range b.Cols {
-		b.Cols[c][1] = b.Cols[c][2]
-	}
-	b.SetLen(2)
-	if b.Len() != 2 || b.Value(1, 1) != "c" {
-		t.Fatalf("after compaction: len=%d val=%v", b.Len(), b.Value(1, 1))
-	}
-
-	// Reset keeps backing arrays but empties and reshapes.
-	b.Reset(3)
-	if b.Width() != 3 || b.Len() != 0 {
-		t.Fatalf("after Reset(3): width=%d len=%d", b.Width(), b.Len())
-	}
-}
-
-func TestBatchPoolRecycles(t *testing.T) {
-	var p BatchPool
-	a := p.Get(2)
-	a.PushRow(Row{int64(1), "x"})
-	p.Put(a)
-	b := p.Get(4)
-	if b != a {
-		t.Fatal("pool did not hand back the released batch")
-	}
-	if b.Width() != 4 || b.Len() != 0 {
-		t.Fatalf("recycled batch not reset: width=%d len=%d", b.Width(), b.Len())
-	}
-	p.Put(nil) // must be a no-op: the free list stays empty
-	if got := p.Get(1); got == nil || got == b || got.Width() != 1 {
-		t.Fatalf("Get after Put(nil) = %v (want a fresh width-1 batch)", got)
-	}
-}
-
-func TestBatchScannerStreamsSnapshot(t *testing.T) {
+// TestScanBatchesStreamsSnapshot: batches arrive in insertion order, at
+// most size rows each, and the row set is pinned when ScanBatches is
+// called — rows the callback inserts through the same transaction are
+// not visited (same snapshot rule as Scan).
+func TestScanBatchesStreamsSnapshot(t *testing.T) {
 	e := newTestEngine(t)
 	rows := make([]Row, 0, 10)
 	for i := 0; i < 10; i++ {
@@ -67,33 +18,26 @@ func TestBatchScannerStreamsSnapshot(t *testing.T) {
 	}
 	mustInsert(t, e, "users", rows...)
 
-	err := e.View(func(tx *Tx) error {
-		s, err := tx.NewBatchScanner("users")
+	err := e.Update(func(tx *Tx) error {
+		var got []int64
+		err := tx.ScanBatches("users", 3, func(b *Batch) error {
+			if len(b.Cols) != 4 {
+				t.Fatalf("batch has %d columns, want 4", len(b.Cols))
+			}
+			if b.Len() == 0 || b.Len() > 3 {
+				t.Fatalf("batch len = %d, want 1..3", b.Len())
+			}
+			for r := 0; r < b.Len(); r++ {
+				got = append(got, b.Cols[0][r].(int64))
+			}
+			_, err := tx.Insert("users", Row{int64(100 + len(got)), "late", nil, true})
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		if s.Width() != 4 {
-			t.Fatalf("Width = %d, want 4", s.Width())
-		}
-		b := NewBatch(s.Width())
-		var got []int64
-		for {
-			n, err := s.Next(b, 3)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			if n > 3 || b.Len() != n {
-				t.Fatalf("Next returned n=%d, batch len=%d", n, b.Len())
-			}
-			for r := 0; r < b.Len(); r++ {
-				got = append(got, b.Value(0, r).(int64))
-			}
-		}
 		if len(got) != 10 {
-			t.Fatalf("scanned %d rows, want 10", len(got))
+			t.Fatalf("scanned %d rows, want the 10 visible at call time", len(got))
 		}
 		for i, id := range got {
 			if id != int64(i) {
@@ -122,7 +66,7 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 		var viaBatch []int64
 		if err := tx.ScanBatches("users", 2, func(b *Batch) error {
 			for r := 0; r < b.Len(); r++ {
-				viaBatch = append(viaBatch, b.Value(0, r).(int64))
+				viaBatch = append(viaBatch, b.Cols[0][r].(int64))
 			}
 			return nil
 		}); err != nil {
@@ -150,7 +94,10 @@ func TestScanBatchesMatchesScan(t *testing.T) {
 	}
 }
 
-func TestBatchScannerHonorsCancel(t *testing.T) {
+// TestScanBatchesHonorsCancel: the scan polls the transaction context
+// every ctxCheckEvery rows, so a context cancelled during the first
+// callback stops the scan before the second.
+func TestScanBatchesHonorsCancel(t *testing.T) {
 	e := newTestEngine(t)
 	rows := make([]Row, 0, 3*ctxCheckEvery)
 	for i := 0; i < 3*ctxCheckEvery; i++ {
@@ -159,11 +106,94 @@ func TestBatchScannerHonorsCancel(t *testing.T) {
 	mustInsert(t, e, "users", rows...)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	defer cancel()
+	calls := 0
 	err := e.ViewCtx(ctx, func(tx *Tx) error {
-		return tx.ScanBatches("users", 64, func(*Batch) error { return nil })
+		return tx.ScanBatches("users", ctxCheckEvery, func(*Batch) error {
+			calls++
+			cancel()
+			return nil
+		})
 	})
-	if err == nil {
-		t.Fatal("cancelled batch scan returned nil error")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Fatalf("callback ran %d times after cancellation, want 1", calls)
+	}
+}
+
+func scanBenchEngine(b *testing.B) *Engine {
+	b.Helper()
+	e := MustOpenMemory()
+	b.Cleanup(func() { e.Close() })
+	s, err := NewSchema("vec", []Column{{Name: "id", Type: TypeInt, NotNull: true}, {Name: "v", Type: TypeFloat}}, "id")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.CreateTable(s); err != nil {
+		b.Fatal(err)
+	}
+	err = e.Update(func(tx *Tx) error {
+		for i := 0; i < 20000; i++ {
+			if _, err := tx.Insert("vec", Row{int64(i), float64(i % 97)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+// BenchmarkVectorScan sums one column of 20k rows through ScanBatches
+// (the edge olap.Build reads facts through); BenchmarkRowScan does the
+// same through Scan. The same-run pair is the cost of transposing rows
+// into column slices — the measurement that took Batch out of the SQL
+// executor (EXPERIMENTS.md A9).
+func BenchmarkVectorScan(b *testing.B) {
+	e := scanBenchEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sum float64
+		err := e.View(func(tx *Tx) error {
+			return tx.ScanBatches("vec", 256, func(batch *Batch) error {
+				col := batch.Cols[1]
+				for r := 0; r < batch.Len(); r++ {
+					sum += col[r].(float64)
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum == 0 {
+			b.Fatal("empty scan")
+		}
+	}
+}
+
+func BenchmarkRowScan(b *testing.B) {
+	e := scanBenchEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sum float64
+		err := e.View(func(tx *Tx) error {
+			return tx.Scan("vec", func(_ RID, row Row) bool {
+				sum += row[1].(float64)
+				return true
+			})
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if sum == 0 {
+			b.Fatal("empty scan")
+		}
 	}
 }

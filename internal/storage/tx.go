@@ -296,9 +296,10 @@ type match struct {
 	row Row
 }
 
-// collectVisible gathers the transaction-visible rows selected by pick
-// while holding the table read lock. Callbacks then run unlocked, so scan
-// bodies may freely mutate the same table (scan-and-delete patterns).
+// collectVisible gathers the transaction-visible rows among the index
+// hits pick returns, while holding the table read lock. Callbacks then
+// run unlocked, so scan bodies may freely mutate the same table
+// (scan-and-delete patterns).
 func (tx *Tx) collectVisible(t *table, pick func() []rowID) []match {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -313,28 +314,41 @@ func (tx *Tx) collectVisible(t *table, pick func() []rowID) []match {
 	return out
 }
 
+// visibleRows is the one whole-table walk: every transaction-visible
+// row of the table in insertion order, captured under the table read
+// lock. Scan, ScanBatches and (through Scan) Count iterate its result
+// unlocked, which is what pins their snapshot at call time.
+func (tx *Tx) visibleRows(tableName string) ([]match, error) {
+	if err := tx.check(); err != nil {
+		return nil, err
+	}
+	t, err := tx.e.getTable(tableName)
+	if err != nil {
+		return nil, err
+	}
+	tx.e.statsReads.Add(1)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make([]match, 0, len(t.versions))
+	for i := range t.versions {
+		v := &t.versions[i]
+		if tx.e.visible(v, tx.snap, tx.id) {
+			out = append(out, match{rid: v.rid, row: v.row})
+		}
+	}
+	return out, nil
+}
+
 // Scan visits every visible row of the table in insertion order. fn
 // returning false stops the scan. The row passed to fn is shared; fn must
 // not modify it (Clone when keeping a mutable copy). fn may mutate the
 // table through the same transaction: the scan iterates the snapshot
 // taken when Scan was called.
 func (tx *Tx) Scan(tableName string, fn func(rid RID, row Row) bool) error {
-	if err := tx.check(); err != nil {
-		return err
-	}
-	t, err := tx.e.getTable(tableName)
+	matches, err := tx.visibleRows(tableName)
 	if err != nil {
 		return err
 	}
-	tx.e.statsReads.Add(1)
-	matches := tx.collectVisible(t, func() []rowID {
-		//odbis:ignore staticrace -- pick runs inside collectVisible under t.mu.RLock
-		ids := make([]rowID, len(t.versions))
-		for i := range ids {
-			ids[i] = rowID(i)
-		}
-		return ids
-	})
 	for i, m := range matches {
 		if err := tx.stepCtx(i); err != nil {
 			return err

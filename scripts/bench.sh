@@ -13,8 +13,9 @@
 # cost on and off the traced path — together they keep the E1 end-to-end
 # delta under 1%), and the compiled read path (BenchmarkPlanCacheHit vs
 # Miss is the parse+plan cost the plan cache removes per request;
-# BenchmarkVectorScan vs RowScan is the batch-at-a-time storage edge;
-# the E1 figure reports a hit_ratio column that perf_gate.sh holds at
+# storage's BenchmarkVectorScan vs RowScan is what Tx.ScanBatches — the
+# column-block edge olap.Build reads through, no longer the SQL
+# executor's — costs over the row callback; the E1 figure reports a hit_ratio column that perf_gate.sh holds at
 # ≥ 0.90, and the _NoPlanCache variant is the cached-vs-uncached A/B).
 # The wire path added in PR 10 rides the same harness: the proto frame
 # codecs (BenchmarkFrameEncode/Decode must stay zero-alloc — the whole
@@ -32,7 +33,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 OUT="${BENCH_OUT:-BENCH_PR8.json}"
-PKGS="${BENCH_PKGS:-./internal/analysis/ ./internal/sql/ ./internal/olap/ ./internal/fault/ ./internal/obs/ ./internal/server/ ./internal/replica/ ./internal/proto/ ./cmd/odbis-load/}"
+PKGS="${BENCH_PKGS:-./internal/analysis/ ./internal/storage/ ./internal/sql/ ./internal/olap/ ./internal/fault/ ./internal/obs/ ./internal/server/ ./internal/replica/ ./internal/proto/ ./cmd/odbis-load/}"
 # The experiment hot paths the context-first refactor must not regress:
 # E1 (Fig. 1 end-to-end request) and E5 (Fig. 4 per-layer overhead).
 ROOT_BENCH="${BENCH_ROOT:-Figure1_|Figure4_}"
@@ -42,33 +43,5 @@ echo "==> go test -bench (${PKGS} + root ${ROOT_BENCH}) -> ${OUT}"
 	go test -bench . -benchmem -benchtime "${BENCH_TIME:-100x}" -count "${BENCH_COUNT:-5}" -run '^$' ${PKGS}
 	go test -bench "${ROOT_BENCH}" -benchmem -benchtime "${BENCH_TIME:-100x}" -count "${BENCH_COUNT:-5}" -run '^$' .
 } |
-	awk -v out="$OUT" '
-	/^Benchmark/ {
-		name = $1; iters = $2; ns = $3 + 0
-		bop = "null"; aop = "null"; hr = "null"; p99 = "null"
-		for (i = 4; i <= NF; i++) {
-			if ($i == "B/op") bop = $(i - 1)
-			if ($i == "allocs/op") aop = $(i - 1)
-			if ($i == "hit_ratio") hr = $(i - 1)
-			if ($i == "p99_ns") p99 = $(i - 1)
-		}
-		if (!(name in min_ns)) { order[n++] = name }
-		if (!(name in min_ns) || ns < min_ns[name]) {
-			min_ns[name] = ns; best_it[name] = iters
-			best_b[name] = bop; best_a[name] = aop; best_h[name] = hr
-			best_p[name] = p99
-		}
-	}
-	{ print }
-	END {
-		if (!n) { printf "[]\n" > out; exit 1 }
-		printf "[\n" > out
-		for (i = 0; i < n; i++) {
-			name = order[i]
-			printf "  {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"hit_ratio\": %s, \"p99_ns\": %s}%s\n", \
-				name, best_it[name], min_ns[name], best_b[name], best_a[name], best_h[name], best_p[name], (i < n - 1 ? "," : "") >> out
-		}
-		printf "]\n" >> out
-	}
-	'
+	awk -v out="$OUT" -f scripts/bench_emit.awk
 echo "==> wrote ${OUT}"

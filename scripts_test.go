@@ -136,3 +136,34 @@ func TestPerfGateOverBudget(t *testing.T) {
 		t.Errorf("over-budget diagnostic absent:\n%s", out)
 	}
 }
+
+// TestBenchEmitterStripsProcsSuffix: with GOMAXPROCS > 1 go test names
+// a benchmark BenchmarkX-<procs>. The emitter must drop the suffix, or
+// every budget row joins against nothing and the gate reports the whole
+// budget MISSING — which is what it did on every multi-core host.
+func TestBenchEmitterStripsProcsSuffix(t *testing.T) {
+	dir := t.TempDir()
+	freshPath := filepath.Join(dir, "fresh.json")
+	cmd := exec.Command("awk", "-v", "out="+freshPath, "-f", "scripts/bench_emit.awk")
+	cmd.Stdin = strings.NewReader(`goos: linux
+BenchmarkPresent-2     100     70 ns/op     16 B/op     1 allocs/op
+BenchmarkPresent-2     100     50 ns/op     16 B/op     1 allocs/op
+BenchmarkGone/sub-16   100     99 ns/op
+PASS
+`)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("bench_emit.awk: %v\n%s", err, out)
+	}
+	fresh, err := os.ReadFile(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := strings.Replace(gateBudget, "BenchmarkGone", "BenchmarkGone/sub", 1)
+	out, code := runPerfGate(t, string(fresh), budget)
+	if code != 0 {
+		t.Fatalf("gate failed on suffixed names (exit %d):\n%s\nemitted:\n%s", code, out, fresh)
+	}
+	if !strings.Contains(out, "50.0 ns/op") {
+		t.Errorf("gate did not see the fastest of the two BenchmarkPresent runs:\n%s", out)
+	}
+}
