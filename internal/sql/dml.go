@@ -52,6 +52,37 @@ func (ex *executor) runInsert(ins *InsertStmt, params []storage.Value) (*Result,
 	return &Result{Affected: affected}, nil
 }
 
+// matching scans table and hands keep every visible row that where
+// holds for (every row when where is nil): the predicate is evaluated
+// inside the scan, on the stored row, with one checkpoint per scanned
+// row, and a predicate error aborts the scan and is returned. UPDATE and
+// DELETE collect their targets through it and apply afterwards.
+func (ex *executor) matching(table string, view *rowView, where Expr, keep func(storage.RID, storage.Row)) error {
+	var predErr error
+	err := ex.tx.Scan(table, func(rid storage.RID, row storage.Row) bool {
+		if predErr = ex.step(); predErr != nil {
+			return false
+		}
+		if where != nil {
+			view.setRow(0, row)
+			ok, err := view.ec.evalBool(where)
+			if err != nil {
+				predErr = err
+				return false
+			}
+			if !ok {
+				return true
+			}
+		}
+		keep(rid, row)
+		return true
+	})
+	if err == nil {
+		err = predErr
+	}
+	return err
+}
+
 func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result, error) {
 	schema, err := ex.schemaOf(upd.Table)
 	if err != nil {
@@ -65,36 +96,23 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		}
 		setPos[i] = pos
 	}
-	view := ex.newRowView([]binding{{name: strings.ToLower(upd.Table), cols: lowerCols(schema)}}, nil, params)
-
-	// Collect targets first (RIDs + current rows), then apply updates.
 	type target struct {
 		rid storage.RID
 		row storage.Row
 	}
 	var targets []target
-	err = ex.tx.Scan(upd.Table, func(rid storage.RID, row storage.Row) bool {
-		targets = append(targets, target{rid: rid, row: row.Clone()})
-		return true
+	view := ex.newRowView([]binding{{name: strings.ToLower(upd.Table), cols: lowerCols(schema)}}, nil, params)
+	err = ex.matching(upd.Table, view, upd.Where, func(rid storage.RID, row storage.Row) {
+		targets = append(targets, target{rid: rid, row: row})
 	})
 	if err != nil {
 		return nil, err
 	}
-	affected := 0
 	for _, tgt := range targets {
 		if err := ex.step(); err != nil {
 			return nil, err
 		}
 		view.setRow(0, tgt.row)
-		if upd.Where != nil {
-			ok, err := view.ec.evalBool(upd.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
 		newRow := tgt.row.Clone()
 		for i, a := range upd.Set {
 			v, err := view.ec.eval(a.Value)
@@ -106,9 +124,8 @@ func (ex *executor) runUpdate(upd *UpdateStmt, params []storage.Value) (*Result,
 		if _, err := ex.tx.UpdateRID(upd.Table, tgt.rid, newRow); err != nil {
 			return nil, err
 		}
-		affected++
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: len(targets)}, nil
 }
 
 func (ex *executor) runDelete(del *DeleteStmt, params []storage.Value) (*Result, error) {
@@ -116,30 +133,11 @@ func (ex *executor) runDelete(del *DeleteStmt, params []storage.Value) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	view := ex.newRowView([]binding{{name: strings.ToLower(del.Table), cols: lowerCols(schema)}}, nil, params)
 	var rids []storage.RID
-	var predErr error
-	err = ex.tx.Scan(del.Table, func(rid storage.RID, row storage.Row) bool {
-		if predErr = ex.step(); predErr != nil {
-			return false
-		}
-		if del.Where != nil {
-			view.setRow(0, row)
-			ok, err := view.ec.evalBool(del.Where)
-			if err != nil {
-				predErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
+	view := ex.newRowView([]binding{{name: strings.ToLower(del.Table), cols: lowerCols(schema)}}, nil, params)
+	err = ex.matching(del.Table, view, del.Where, func(rid storage.RID, _ storage.Row) {
 		rids = append(rids, rid)
-		return true
 	})
-	if err == nil {
-		err = predErr
-	}
 	if err != nil {
 		return nil, err
 	}

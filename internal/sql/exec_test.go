@@ -376,6 +376,63 @@ func TestDeleteCountsScannedRows(t *testing.T) {
 	}
 }
 
+// TestUpdateFiltersInsideTheScan: UPDATE evaluates WHERE inside the scan
+// and keeps only the matching rows, so a one-row update of a large table
+// runs the checkpoint once per scanned row plus once for the row it
+// changes, and allocates what the same update of a small table does —
+// not one row copy per row of the table.
+func TestUpdateFiltersInsideTheScan(t *testing.T) {
+	db := NewDB(storage.MustOpenMemory())
+	defer db.Engine.Close()
+	sizes := map[string]int{"small": 200, "large": 6400}
+	for name, n := range sizes {
+		mustExec(t, db, "CREATE TABLE "+name+" (id INT PRIMARY KEY, v INT)")
+		for lo := 0; lo < n; lo += 200 {
+			vals := make([]string, 200)
+			for i := range vals {
+				vals[i] = fmt.Sprintf("(%d, 0)", lo+i)
+			}
+			mustExec(t, db, "INSERT INTO "+name+" VALUES "+strings.Join(vals, ","))
+		}
+	}
+	allocs := map[string]float64{}
+	for name, n := range sizes {
+		q := "UPDATE " + name + " SET v = v + 1 WHERE id = ?"
+		before := mSQLRows.Value()
+		if res := mustExec(t, db, q, int64(7)); res.Affected != 1 {
+			t.Fatalf("%s: affected = %d, want 1", name, res.Affected)
+		}
+		if got := mSQLRows.Value() - before; got != int64(n)+1 {
+			t.Errorf("%s: one-row UPDATE of %d rows counted %d scanned rows, want %d", name, n, got, n+1)
+		}
+		allocs[name] = testing.AllocsPerRun(20, func() { mustExec(t, db, q, int64(7)) })
+	}
+	if allocs["large"] > allocs["small"]+8 {
+		t.Errorf("one-row UPDATE allocates %.0f times on %d rows, %.0f on %d: it scales with the table",
+			allocs["large"], sizes["large"], allocs["small"], sizes["small"])
+	}
+}
+
+// TestUpdateRollsBackOnExpressionErrors: a SET or WHERE expression that
+// fails part-way through the table fails the UPDATE, and the rows it had
+// already changed are not kept.
+func TestUpdateRollsBackOnExpressionErrors(t *testing.T) {
+	db := newTestDB(t)
+	for _, q := range []string{
+		"UPDATE emp SET salary = 10 / (id - 3)",                  // ids 1, 2 are set first
+		"UPDATE emp SET salary = 0 WHERE 10 / (id - 3) < 100",    // ids 1, 2 match first
+		"UPDATE emp SET salary = 0 WHERE id < 3 OR nosuch = 'x'", // id 3 reaches the bad column
+	} {
+		if _, err := db.QueryContext(context.Background(), q); err == nil {
+			t.Errorf("%s: no error", q)
+		}
+	}
+	r := mustExec(t, db, "SELECT COUNT(*) FROM emp WHERE salary IN (120.0, 130.0, 110.0, 90.0, 95.0, 80.0)")
+	if r.Rows[0][0] != int64(6) {
+		t.Errorf("%v of 6 salaries survived the failed updates", r.Rows[0][0])
+	}
+}
+
 func TestInsertDefaults(t *testing.T) {
 	db := newTestDB(t)
 	mustExec(t, db, "INSERT INTO emp (id, name) VALUES (20, 'def')")

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -24,14 +25,23 @@ const (
 )
 
 type encoder struct {
-	w   *bufio.Writer
+	w   encodeWriter
 	err error
 	buf [binary.MaxVarintLen64]byte
 }
 
+// encodeWriter is what the encoder writes through: an in-memory buffer
+// (redo records) or a bufio.Writer (snapshot files) as they are, anything
+// else behind a bufio.Writer of its own.
+type encodeWriter interface {
+	io.Writer
+	io.ByteWriter
+	io.StringWriter
+}
+
 func newEncoder(w io.Writer) *encoder {
-	if bw, ok := w.(*bufio.Writer); ok {
-		return &encoder{w: bw}
+	if ew, ok := w.(encodeWriter); ok {
+		return &encoder{w: ew}
 	}
 	return &encoder{w: bufio.NewWriter(w)}
 }
@@ -40,7 +50,10 @@ func (e *encoder) flush() error {
 	if e.err != nil {
 		return e.err
 	}
-	return e.w.Flush()
+	if bw, ok := e.w.(*bufio.Writer); ok {
+		return bw.Flush()
+	}
+	return nil
 }
 
 func (e *encoder) byte(b byte) {
@@ -138,16 +151,15 @@ func (e *encoder) schema(s *Schema) {
 	}
 }
 
+// decoder reads an in-memory image: a WAL or shipped payload, or a
+// snapshot body.
 type decoder struct {
-	r   *bufio.Reader
+	r   *bytes.Reader
 	err error
 }
 
-func newDecoder(r io.Reader) *decoder {
-	if br, ok := r.(*bufio.Reader); ok {
-		return &decoder{r: br}
-	}
-	return &decoder{r: bufio.NewReader(r)}
+func newDecoder(image []byte) *decoder {
+	return &decoder{r: bytes.NewReader(image)}
 }
 
 func (d *decoder) fail(err error) {
@@ -183,32 +195,28 @@ func (d *decoder) varint() int64 {
 	return i
 }
 
-// maxBlob bounds length prefixes so a corrupt file cannot trigger a huge
-// allocation.
+// maxBlob bounds a WAL frame's length prefix so a corrupt file cannot
+// trigger a huge allocation.
 const maxBlob = 1 << 30
 
-func (d *decoder) str() string {
+// length reads a prefix that counts bytes or elements still to come.
+// Every element takes at least one byte, so a count larger than what is
+// left of the image is corrupt, and is rejected before anything is
+// allocated for it.
+func (d *decoder) length() uint64 {
 	n := d.uvarint()
+	if d.err == nil && n > uint64(d.r.Len()) {
+		d.fail(fmt.Errorf("storage: corrupt length %d, %d bytes left", n, d.r.Len()))
+	}
 	if d.err != nil {
-		return ""
+		return 0
 	}
-	if n > maxBlob {
-		d.fail(fmt.Errorf("storage: corrupt length %d", n))
-		return ""
-	}
-	b := make([]byte, n)
-	_, err := io.ReadFull(d.r, b)
-	d.fail(err)
-	return string(b)
+	return n
 }
 
 func (d *decoder) blob() []byte {
-	n := d.uvarint()
+	n := d.length()
 	if d.err != nil {
-		return nil
-	}
-	if n > maxBlob {
-		d.fail(fmt.Errorf("storage: corrupt length %d", n))
 		return nil
 	}
 	b := make([]byte, n)
@@ -216,6 +224,8 @@ func (d *decoder) blob() []byte {
 	d.fail(err)
 	return b
 }
+
+func (d *decoder) str() string { return string(d.blob()) }
 
 func (d *decoder) value() Value {
 	switch tag := d.byte(); tag {
@@ -240,12 +250,8 @@ func (d *decoder) value() Value {
 }
 
 func (d *decoder) row() Row {
-	n := d.uvarint()
+	n := d.length()
 	if d.err != nil {
-		return nil
-	}
-	if n > maxBlob {
-		d.fail(fmt.Errorf("storage: corrupt row arity %d", n))
 		return nil
 	}
 	r := make(Row, n)
@@ -257,9 +263,8 @@ func (d *decoder) row() Row {
 
 func (d *decoder) schema() *Schema {
 	s := &Schema{Name: d.str()}
-	ncols := d.uvarint()
-	if d.err != nil || ncols > 1<<16 {
-		d.fail(fmt.Errorf("storage: corrupt schema"))
+	ncols := d.length()
+	if d.err != nil {
 		return nil
 	}
 	s.Columns = make([]Column, ncols)
@@ -279,4 +284,32 @@ func (d *decoder) schema() *Schema {
 		s.PrimaryKey[i] = d.str()
 	}
 	return s
+}
+
+func encodeIndexInfo(enc *encoder, info IndexInfo) {
+	enc.str(info.Table)
+	enc.str(info.Name)
+	enc.uvarint(uint64(len(info.Columns)))
+	for _, c := range info.Columns {
+		enc.str(c)
+	}
+	if info.Unique {
+		enc.byte(1)
+	} else {
+		enc.byte(0)
+	}
+	enc.byte(byte(info.Kind))
+}
+
+func decodeIndexInfo(dec *decoder) IndexInfo {
+	var info IndexInfo
+	info.Table = dec.str()
+	info.Name = dec.str()
+	info.Columns = make([]string, dec.length())
+	for i := range info.Columns {
+		info.Columns[i] = dec.str()
+	}
+	info.Unique = dec.byte() == 1
+	info.Kind = IndexKind(dec.byte())
+	return info
 }

@@ -157,13 +157,24 @@ func (ix *index) keyFor(row Row) string {
 type table struct {
 	mu     sync.RWMutex
 	schema *Schema
-	//odbis:guardedby mu -- WAL replay also writes it, single-threaded in Open before the engine is published
+	//odbis:guardedby mu -- newTable also writes it, on a table not yet published
 	versions []version
-	//odbis:guardedby mu -- WAL replay also writes it, single-threaded in Open before the engine is published
+	//odbis:guardedby mu -- newTable also writes it, on a table not yet published
 	byRID   map[RID]rowID
 	indexes map[string]*index // lower-cased index name
 	pkIndex *index            // nil when the table has no primary key
 	dead    int               // committed-dead version count, drives vacuum
+}
+
+// add appends v to the heap and enters it in every index (caller holds
+// t.mu).
+func (t *table) add(v version) {
+	slot := rowID(len(t.versions))
+	t.versions = append(t.versions, v)
+	t.byRID[v.rid] = slot
+	for _, ix := range t.indexes {
+		ix.insert(ix.keyFor(v.row), slot)
+	}
 }
 
 // Engine is the storage engine. It is safe for concurrent use.
@@ -343,76 +354,15 @@ func (e *Engine) getTable(name string) (*table, error) {
 	return t, nil
 }
 
-// CreateTable registers a new table. DDL is auto-committed and durable
-// immediately.
+// CreateTable registers a new table. DDL is auto-committed, logged
+// before it is installed and durable immediately.
 func (e *Engine) CreateTable(s *Schema) error {
-	if err := s.Validate(); err != nil {
-		return err
-	}
-	s = s.Clone()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	key := lowerName(s.Name)
-	if _, ok := e.tables[key]; ok {
-		return fmt.Errorf("%w: %s", ErrTableExists, s.Name)
-	}
-	t := &table{
-		schema:  s,
-		byRID:   make(map[RID]rowID),
-		indexes: make(map[string]*index),
-	}
-	if len(s.PrimaryKey) > 0 {
-		pk := e.buildIndex(t, IndexInfo{
-			Name:    s.Name + "_pkey",
-			Table:   s.Name,
-			Columns: append([]string(nil), s.PrimaryKey...),
-			Unique:  true,
-			Kind:    IndexBTree,
-		})
-		t.pkIndex = pk
-		t.indexes[lowerName(pk.info.Name)] = pk
-	}
-	e.tables[key] = t
-	if e.wal != nil {
-		if err := e.wal.logCreateTable(s); err != nil {
-			delete(e.tables, key)
-			return err
-		}
-	}
-	e.schemaEpoch.Add(1)
-	e.ship(false, func(enc *encoder) {
-		enc.byte(recCreateTable)
-		enc.schema(s)
-	})
-	return nil
+	return e.autoCommit(createTable{schema: s.Clone()})
 }
 
 // DropTable removes a table and its indexes.
 func (e *Engine) DropTable(name string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	key := lowerName(name)
-	if _, ok := e.tables[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrNoTable, name)
-	}
-	delete(e.tables, key)
-	e.schemaEpoch.Add(1)
-	// Ship before the WAL write: the in-memory drop already happened and
-	// survives a WAL error, so replicas must mirror it either way.
-	e.ship(false, func(enc *encoder) {
-		enc.byte(recDropTable)
-		enc.str(name)
-	})
-	if e.wal != nil {
-		return e.wal.logDropTable(name)
-	}
-	return nil
+	return e.autoCommit(dropTable{name: name})
 }
 
 // HasTable reports whether the named table exists.
@@ -467,94 +417,13 @@ func (e *Engine) buildIndex(t *table, info IndexInfo) *index {
 // Unique indexes reject creation when committed rows already violate
 // uniqueness.
 func (e *Engine) CreateIndex(info IndexInfo) error {
-	t, err := e.getTable(info.Table)
-	if err != nil {
-		return err
-	}
-	if !ValidIdent(info.Name) {
-		return fmt.Errorf("storage: invalid index name %q", info.Name)
-	}
-	for _, c := range info.Columns {
-		if _, ok := t.schema.ColumnIndex(c); !ok {
-			return fmt.Errorf("storage: index %s: no column %q in table %s", info.Name, c, info.Table)
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := lowerName(info.Name)
-	if _, ok := t.indexes[key]; ok {
-		return fmt.Errorf("%w: %s", ErrIndexExists, info.Name)
-	}
-	ix := e.buildIndex(t, info)
-	if info.Unique {
-		snap := e.takeSnapshot()
-		dup := false
-		check := func(ids []rowID) bool {
-			live := 0
-			for _, id := range ids {
-				if e.visible(&t.versions[id], snap, 0) {
-					live++
-				}
-			}
-			return live > 1
-		}
-		if ix.tree != nil {
-			ix.tree.Ascend(func(_ string, ids []rowID) bool {
-				dup = check(ids)
-				return !dup
-			})
-		} else {
-			for _, ids := range ix.hash {
-				if check(ids) {
-					dup = true
-					break
-				}
-			}
-		}
-		if dup {
-			return fmt.Errorf("%w: existing rows violate unique index %s", ErrDuplicate, info.Name)
-		}
-	}
-	t.indexes[key] = ix
-	e.schemaEpoch.Add(1)
-	e.ship(false, func(enc *encoder) {
-		enc.byte(recCreateIndex)
-		encodeIndexInfo(enc, info)
-	})
-	if e.wal != nil {
-		return e.wal.logCreateIndex(info)
-	}
-	return nil
+	return e.autoCommit(createIndex{info: info})
 }
 
 // DropIndex removes a secondary index. The implicit primary-key index
 // cannot be dropped.
 func (e *Engine) DropIndex(tableName, indexName string) error {
-	t, err := e.getTable(tableName)
-	if err != nil {
-		return err
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	key := lowerName(indexName)
-	ix, ok := t.indexes[key]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoIndex, indexName)
-	}
-	if ix == t.pkIndex {
-		return fmt.Errorf("storage: cannot drop primary key index %s", indexName)
-	}
-	delete(t.indexes, key)
-	e.schemaEpoch.Add(1)
-	e.ship(false, func(enc *encoder) {
-		enc.byte(recDropIndex)
-		enc.str(tableName)
-		enc.str(indexName)
-	})
-	if e.wal != nil {
-		return e.wal.logDropIndex(tableName, indexName)
-	}
-	return nil
+	return e.autoCommit(dropIndex{table: tableName, name: indexName})
 }
 
 // Indexes lists the indexes defined on a table.
@@ -583,17 +452,13 @@ func (e *Engine) NextSequence(name string) (int64, error) {
 	e.seqs[name]++
 	v := e.seqs[name]
 	e.seqMu.Unlock()
-	// Ship regardless of WAL outcome: the in-memory bump above is what
-	// replicas mirror (like sequences everywhere, it never rolls back).
-	e.ship(false, func(enc *encoder) {
-		enc.byte(recSequence)
-		enc.str(name)
-		enc.varint(v)
-	})
-	if e.wal != nil {
-		if err := e.wal.logSequence(name, v); err != nil {
-			return 0, err
-		}
+	var r redo = sequenceBump{name: name, value: v}
+	payload, _, err := e.logRecord(r)
+	// Ship whatever the WAL said: replicas mirror memory, and the bump
+	// above never rolls back.
+	e.ship(r, payload)
+	if err != nil {
+		return 0, err
 	}
 	return v, nil
 }
@@ -604,14 +469,6 @@ func (e *Engine) SequenceValue(name string) int64 {
 	e.seqMu.Lock()
 	defer e.seqMu.Unlock()
 	return e.seqs[name]
-}
-
-func (e *Engine) setSequence(name string, v int64) {
-	e.seqMu.Lock()
-	if v > e.seqs[name] {
-		e.seqs[name] = v
-	}
-	e.seqMu.Unlock()
 }
 
 // snapshot captures the visibility horizon of a transaction.

@@ -68,6 +68,82 @@ func TestFaultWALAppendCleanAbort(t *testing.T) {
 	}
 }
 
+// DDL is write-ahead: with the append point armed, each of the four DDL
+// calls returns the injected error and leaves memory, the subscribed
+// replica stream and (after a reopen) the disk exactly as they were.
+func TestDDLWriteAhead(t *testing.T) {
+	defer fault.Reset()
+	dir := t.TempDir()
+	e := openDir(t, dir, SyncBuffered)
+	defer e.Close()
+	if err := e.CreateTable(usersSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	byAge := IndexInfo{Name: "users_age", Table: "users", Columns: []string{"age"}, Kind: IndexBTree}
+	if err := e.CreateIndex(byAge); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, e, "users", Row{int64(1), "ada", int64(36), true})
+	other := usersSchema(t)
+	other.Name = "others"
+	byName := IndexInfo{Name: "users_name", Table: "users", Columns: []string{"name"}, Kind: IndexHash}
+
+	sub := e.SubscribeWAL(16)
+	defer sub.Close()
+	before := listState(t, e)
+	epoch := e.SchemaEpoch()
+	if err := fault.Arm(fault.StorageWALAppend, fault.Behavior{Mode: fault.ModeError}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ddl := range []struct {
+		name string
+		call func() error
+	}{
+		{"CreateTable", func() error { return e.CreateTable(other) }},
+		{"CreateIndex", func() error { return e.CreateIndex(byName) }},
+		{"DropIndex", func() error { return e.DropIndex("users", "users_age") }},
+		{"DropTable", func() error { return e.DropTable("users") }},
+	} {
+		if err := ddl.call(); !errors.Is(err, fault.ErrInjected) {
+			t.Errorf("%s under armed append point: err = %v, want ErrInjected", ddl.name, err)
+		}
+		if got := listState(t, e); got != before {
+			t.Errorf("%s failed its WAL append yet changed memory\n--- got\n%s--- want\n%s", ddl.name, got, before)
+			before = got
+		}
+	}
+	fault.Reset()
+	if got := e.SchemaEpoch(); got != epoch {
+		t.Errorf("schema epoch moved %d -> %d across four failed DDL calls", epoch, got)
+	}
+	select {
+	case f := <-sub.Frames():
+		t.Errorf("a DDL call that failed its WAL append shipped a %q frame", f.Payload[0])
+	default:
+	}
+	if !e.WALHealthy() {
+		t.Error("a pre-write append failure latched the WAL")
+	}
+
+	// Nothing was latched, so the same calls go through now — and a
+	// reopen sees their outcome, not the failed attempts'.
+	if err := e.CreateIndex(byName); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DropIndex("users", "users_age"); err != nil {
+		t.Fatal(err)
+	}
+	after := listState(t, e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := openDir(t, dir, SyncBuffered)
+	defer e2.Close()
+	if got := listState(t, e2); got != after {
+		t.Errorf("reopen differs from memory before close\n--- got\n%s--- want\n%s", got, after)
+	}
+}
+
 // StorageWALAppendMid fires after the frame header is on disk: the log
 // tail is torn, the failure latches, and every later commit fails fast
 // until a checkpoint rebuilds the log — after which writes flow again

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"sync"
 	"sync/atomic"
 )
@@ -9,9 +8,10 @@ import (
 // WAL frame shipping: the primary side of the replication protocol.
 //
 // Every committed transaction and every auto-committed DDL/sequence
-// mutation produces one logical redo frame — the same payload encoding
-// the durable WAL uses (recCommit, recCreateTable, …) — and the frame
-// tap fans it out to subscribers in commit order. The tap observes
+// mutation produces one redo record (record.go), and the frame tap fans
+// its payload out to subscribers in commit order: on a durable engine the
+// very bytes that were appended to the WAL, on an in-memory one the same
+// encoding, made only when someone is subscribed. The tap observes
 // memory-state mutations, not the WAL file, so in-memory engines ship
 // exactly like durable ones.
 //
@@ -149,23 +149,25 @@ func (e *Engine) closeTap() {
 	}
 }
 
-// shipLocked advances the ship position by one frame and fans the
-// payload out. The caller holds tap.mu; encode runs only when a
-// subscriber exists, so the disabled-replication cost of a ship site is
-// one uncontended mutex and two integer stores. isCommit marks commit
-// frames for commit-LSN accounting. shipLocked acquires no other locks.
-func (tp *frameTap) shipLocked(isCommit bool, encode func(enc *encoder)) {
+// shipLocked advances the ship position by one frame and fans r out.
+// payload is r's encoding when the caller has it already — a durable
+// engine wrote those bytes to its WAL — and nil otherwise; an in-memory
+// engine's record is encoded here, and only when a subscriber exists, so
+// the disabled-replication cost of a ship site is one uncontended mutex
+// and two integer stores. The caller holds tap.mu; shipLocked acquires
+// no other locks.
+func (tp *frameTap) shipLocked(r redo, payload []byte) {
 	tp.lsn++
-	if isCommit {
+	if _, isCommit := r.(commit); isCommit {
 		tp.commitLSN = tp.lsn
 	}
 	if len(tp.subs) > 0 {
-		var buf bytes.Buffer
-		enc := newEncoder(&buf)
-		encode(enc)
-		// Flushing into a bytes.Buffer cannot fail.
-		_ = enc.flush()
-		payload := buf.Bytes()
+		if payload == nil {
+			// Every value in a record passed CheckValue, so encoding
+			// cannot fail; were it to, the follower's decoder rejects the
+			// short payload and the replica re-bootstraps.
+			payload, _ = encodeRecord(r)
+		}
 		tp.bytes += uint64(len(payload))
 		frame := WALFrame{LSN: tp.lsn, Payload: payload}
 		for id, sub := range tp.subs {
@@ -187,9 +189,9 @@ func (tp *frameTap) shipLocked(isCommit bool, encode func(enc *encoder)) {
 }
 
 // ship is shipLocked for call sites that do not already hold tap.mu.
-func (e *Engine) ship(isCommit bool, encode func(enc *encoder)) {
+func (e *Engine) ship(r redo, payload []byte) {
 	e.tap.mu.Lock()
-	e.tap.shipLocked(isCommit, encode)
+	e.tap.shipLocked(r, payload)
 	e.tap.mu.Unlock()
 }
 
@@ -198,19 +200,4 @@ func (e *Engine) ship(isCommit bool, encode func(enc *encoder)) {
 // lag accounting without decoding the frame.
 func FrameIsCommit(payload []byte) bool {
 	return len(payload) > 0 && payload[0] == recCommit
-}
-
-// encodeTxFrame writes a commit frame — identical to wal.logTx's record.
-func encodeTxFrame(enc *encoder, txid uint64, ops []txOp) {
-	enc.byte(recCommit)
-	enc.uvarint(txid)
-	enc.uvarint(uint64(len(ops)))
-	for _, op := range ops {
-		enc.byte(byte(op.kind))
-		enc.str(op.table)
-		enc.uvarint(uint64(op.rid))
-		if op.kind == opInsert {
-			enc.row(op.row)
-		}
-	}
 }

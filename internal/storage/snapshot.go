@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -348,7 +347,7 @@ func (e *Engine) restoreState(raw []byte, src string) error {
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(crcBytes) {
 		return fmt.Errorf("storage: snapshot %s checksum mismatch", path)
 	}
-	dec := newDecoder(bytes.NewReader(body))
+	dec := newDecoder(body)
 
 	if magic := dec.str(); magic != snapshotMagic {
 		return fmt.Errorf("storage: snapshot %s: bad magic %q", path, magic)
@@ -356,8 +355,8 @@ func (e *Engine) restoreState(raw []byte, src string) error {
 	e.epoch = dec.uvarint()
 	nextRID := dec.uvarint()
 	nextTx := dec.uvarint()
-	nseq := dec.uvarint()
-	if dec.err != nil || nseq > 1<<20 {
+	nseq := dec.length()
+	if dec.err != nil {
 		return fmt.Errorf("storage: snapshot %s corrupt (sequences)", path)
 	}
 	for i := uint64(0); i < nseq; i++ {
@@ -367,8 +366,8 @@ func (e *Engine) restoreState(raw []byte, src string) error {
 			e.seqs[name] = v
 		}
 	}
-	ntab := dec.uvarint()
-	if dec.err != nil || ntab > 1<<20 {
+	ntab := dec.length()
+	if dec.err != nil {
 		return fmt.Errorf("storage: snapshot %s corrupt (tables)", path)
 	}
 	for i := uint64(0); i < ntab; i++ {
@@ -376,44 +375,18 @@ func (e *Engine) restoreState(raw []byte, src string) error {
 		if dec.err != nil {
 			return fmt.Errorf("storage: snapshot %s corrupt: %v", path, dec.err)
 		}
-		t := &table{schema: s, byRID: make(map[RID]rowID), indexes: make(map[string]*index)}
-		nix := dec.uvarint()
-		if dec.err != nil || nix > 1<<12 {
-			return fmt.Errorf("storage: snapshot %s corrupt (indexes)", path)
-		}
-		infos := make([]IndexInfo, nix)
+		infos := make([]IndexInfo, dec.length())
 		for j := range infos {
 			infos[j] = decodeIndexInfo(dec)
 		}
-		nrows := dec.uvarint()
-		if dec.err != nil || nrows > maxBlob {
-			return fmt.Errorf("storage: snapshot %s corrupt (rows)", path)
+		versions := make([]version, dec.length())
+		for j := range versions {
+			versions[j] = version{rid: RID(dec.uvarint()), row: dec.row()}
 		}
-		t.versions = make([]version, 0, nrows)
-		for j := uint64(0); j < nrows; j++ {
-			rid := RID(dec.uvarint())
-			row := dec.row()
-			if dec.err != nil {
-				return fmt.Errorf("storage: snapshot %s corrupt: %v", path, dec.err)
-			}
-			t.byRID[rid] = rowID(len(t.versions))
-			t.versions = append(t.versions, version{rid: rid, row: row})
+		if dec.err != nil {
+			return fmt.Errorf("storage: snapshot %s corrupt: %v", path, dec.err)
 		}
-		if len(s.PrimaryKey) > 0 {
-			pk := e.buildIndex(t, IndexInfo{
-				Name:    s.Name + "_pkey",
-				Table:   s.Name,
-				Columns: append([]string(nil), s.PrimaryKey...),
-				Unique:  true,
-				Kind:    IndexBTree,
-			})
-			t.pkIndex = pk
-			t.indexes[lowerName(pk.info.Name)] = pk
-		}
-		for _, info := range infos {
-			t.indexes[lowerName(info.Name)] = e.buildIndex(t, info)
-		}
-		e.tables[lowerName(s.Name)] = t
+		e.tables[lowerName(s.Name)] = e.newTable(s, versions, infos)
 	}
 	if dec.err != nil {
 		return fmt.Errorf("storage: snapshot %s corrupt: %v", path, dec.err)

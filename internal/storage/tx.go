@@ -159,12 +159,7 @@ func (tx *Tx) Insert(tableName string, row Row) (RID, error) {
 		}
 	}
 	rid := RID(tx.e.nextRID.Add(1) - 1)
-	slot := rowID(len(t.versions))
-	t.versions = append(t.versions, version{rid: rid, row: checked, xmin: tx.id})
-	t.byRID[rid] = slot
-	for _, ix := range t.indexes {
-		ix.insert(ix.keyFor(checked), slot)
-	}
+	t.add(version{rid: rid, row: checked, xmin: tx.id})
 	tx.ops = append(tx.ops, txOp{kind: opInsert, table: t.schema.Name, rid: rid, row: checked})
 	tx.e.statsWrites.Add(1)
 	return rid, nil
@@ -464,18 +459,17 @@ func (tx *Tx) Commit() error {
 		e.finishTx(tx.id, txCommitted)
 		return nil
 	}
-	if e.wal != nil {
-		n, err := e.wal.logTx(tx.id, tx.ops)
-		if err != nil {
-			// Could not make the transaction durable: abort it so memory
-			// state matches the log.
-			e.finishTx(tx.id, txAborted)
-			e.noteDead(tx.ops, txAborted)
-			return fmt.Errorf("storage: commit: %w", err)
-		}
-		if n > 0 && tx.ctx != nil {
-			obs.AddTenant(tx.ctx, obs.TenantBytesWritten, int64(n))
-		}
+	var r redo = commit{txid: tx.id, ops: tx.ops}
+	payload, n, err := e.logRecord(r)
+	if err != nil {
+		// Could not make the transaction durable: abort it so memory
+		// state matches the log.
+		e.finishTx(tx.id, txAborted)
+		e.noteDead(tx.ops, txAborted)
+		return fmt.Errorf("storage: commit: %w", err)
+	}
+	if n > 0 && tx.ctx != nil {
+		obs.AddTenant(tx.ctx, obs.TenantBytesWritten, int64(n))
 	}
 	// The visibility flip and the replication ship are atomic under
 	// tap.mu so a WAL subscriber registering concurrently sees this
@@ -484,7 +478,7 @@ func (tx *Tx) Commit() error {
 	// frame arrives on the already-registered channel). See ship.go.
 	e.tap.mu.Lock()
 	e.finishTx(tx.id, txCommitted)
-	e.tap.shipLocked(true, func(enc *encoder) { encodeTxFrame(enc, tx.id, tx.ops) })
+	e.tap.shipLocked(r, payload)
 	e.tap.mu.Unlock()
 	e.noteDead(tx.ops, txCommitted)
 	return nil

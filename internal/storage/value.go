@@ -105,8 +105,6 @@ func Normalize(v Value) Value {
 		return int64(x)
 	case int32:
 		return int64(x)
-	case int64:
-		return x
 	case uint:
 		return int64(x)
 	case uint8:
@@ -119,8 +117,8 @@ func Normalize(v Value) Value {
 		return int64(x)
 	case float32:
 		return float64(x)
-	case float64:
-		return x
+	case int64, float64:
+		return v // canonical already; returning x would box it a second time
 	case time.Time:
 		return x.UTC().Truncate(time.Microsecond)
 	default:

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,23 +14,17 @@ import (
 
 const walFile = "odbis.wal"
 
-// Record types in the write-ahead log.
-const (
-	recCreateTable byte = 'T'
-	recDropTable   byte = 'D'
-	recCreateIndex byte = 'I'
-	recDropIndex   byte = 'X'
-	recSequence    byte = 'S'
-	recCommit      byte = 'C'
-	// recEpoch stamps the WAL with the checkpoint epoch of the snapshot
-	// it extends. It is always the first record of a reset WAL; replay
-	// discards a WAL whose epoch does not match the loaded snapshot
-	// (a crash between snapshot publish and WAL reset would otherwise
-	// re-apply records the snapshot already contains).
-	recEpoch byte = 'E'
-)
+// recEpoch stamps the WAL with the checkpoint epoch of the snapshot it
+// extends. It is always the first record of a reset WAL and never a redo
+// record (record.go): it is neither shipped nor applied. Replay discards
+// a WAL whose epoch does not match the loaded snapshot (a crash between
+// snapshot publish and WAL reset would otherwise re-apply records the
+// snapshot already contains).
+const recEpoch byte = 'E'
 
-// wal is an append-only redo log. Records are framed as
+// wal is an append-only log of redo-record payloads (record.go owns what
+// is in them; this file owns how they sit in the file). Records are
+// framed as
 //
 //	[uint32 payload length][payload][uint32 CRC-32 of payload]
 //
@@ -42,7 +35,7 @@ type wal struct {
 	mu   sync.Mutex
 	f    *os.File
 	sync SyncMode
-	buf  bytes.Buffer
+	buf  []byte // the frame being written, reused across appends
 	// failed latches the first physical write/sync error. Once set,
 	// every further append fails fast with ErrWALFailed: the on-disk
 	// tail is suspect, and acknowledging commits that may not survive a
@@ -74,10 +67,17 @@ func (w *wal) Close() error {
 	return err
 }
 
-// append frames and writes one record built by fn, honoring the sync
-// mode. On success it returns the frame size in bytes so callers can
-// attribute durable write volume.
-func (w *wal) append(fn func(enc *encoder)) (int, error) {
+// appendFrame appends payload's frame to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// append frames and writes one record payload, honoring the sync mode.
+// On success it returns the frame size in bytes so callers can attribute
+// durable write volume.
+func (w *wal) append(payload []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
@@ -86,28 +86,19 @@ func (w *wal) append(fn func(enc *encoder)) (int, error) {
 	if w.failed != nil {
 		return 0, fmt.Errorf("%w (first failure: %v)", ErrWALFailed, w.failed)
 	}
-	w.buf.Reset()
-	enc := newEncoder(&w.buf)
-	fn(enc)
-	if err := enc.flush(); err != nil {
-		return 0, err
-	}
 	// Nothing has reached the file yet: a failure up to here (including
 	// the armed fault below) aborts the record cleanly and the WAL stays
 	// usable.
 	if err := fault.Point(fault.StorageWALAppend); err != nil {
 		return 0, err
 	}
-	payload := w.buf.Bytes()
-	var frame [8]byte
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	w.buf = appendFrame(w.buf[:0], payload)
 	// Seek to end: recovery may have left the offset mid-file after a torn
 	// record.
 	if _, err := w.f.Seek(0, io.SeekEnd); err != nil {
 		return 0, err
 	}
-	if _, err := w.f.Write(frame[:4]); err != nil {
+	if _, err := w.f.Write(w.buf[:4]); err != nil {
 		return 0, w.fail(err)
 	}
 	// The torn-write window: the frame header is on disk, the payload is
@@ -116,10 +107,7 @@ func (w *wal) append(fn func(enc *encoder)) (int, error) {
 	if err := fault.Point(fault.StorageWALAppendMid); err != nil {
 		return 0, w.fail(err)
 	}
-	if _, err := w.f.Write(payload); err != nil {
-		return 0, w.fail(err)
-	}
-	if _, err := w.f.Write(frame[4:]); err != nil {
+	if _, err := w.f.Write(w.buf[4:]); err != nil {
 		return 0, w.fail(err)
 	}
 	if w.sync == SyncFull {
@@ -131,10 +119,9 @@ func (w *wal) append(fn func(enc *encoder)) (int, error) {
 		}
 		mWALSyncs.Inc()
 	}
-	n := len(payload) + 8
 	mWALAppends.Inc()
-	mWALBytes.Add(int64(n))
-	return n, nil
+	mWALBytes.Add(int64(len(w.buf)))
+	return len(w.buf), nil
 }
 
 // fail latches a physical write/sync error (caller holds w.mu).
@@ -163,24 +150,8 @@ func (w *wal) reset(epoch uint64) error {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return w.fail(err)
 	}
-	w.buf.Reset()
-	enc := newEncoder(&w.buf)
-	enc.byte(recEpoch)
-	enc.uvarint(epoch)
-	if err := enc.flush(); err != nil {
-		return err
-	}
-	payload := w.buf.Bytes()
-	var frame [8]byte
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(frame[:4]); err != nil {
-		return w.fail(err)
-	}
-	if _, err := w.f.Write(payload); err != nil {
-		return w.fail(err)
-	}
-	if _, err := w.f.Write(frame[4:]); err != nil {
+	stamp := binary.AppendUvarint([]byte{recEpoch}, epoch)
+	if _, err := w.f.Write(appendFrame(nil, stamp)); err != nil {
 		return w.fail(err)
 	}
 	if err := w.f.Sync(); err != nil {
@@ -190,92 +161,13 @@ func (w *wal) reset(epoch uint64) error {
 	return nil
 }
 
-func (w *wal) logCreateTable(s *Schema) error {
-	_, err := w.append(func(enc *encoder) {
-		enc.byte(recCreateTable)
-		enc.schema(s)
-	})
-	return err
-}
-
-func (w *wal) logDropTable(name string) error {
-	_, err := w.append(func(enc *encoder) {
-		enc.byte(recDropTable)
-		enc.str(name)
-	})
-	return err
-}
-
-func (w *wal) logCreateIndex(info IndexInfo) error {
-	_, err := w.append(func(enc *encoder) {
-		enc.byte(recCreateIndex)
-		encodeIndexInfo(enc, info)
-	})
-	return err
-}
-
-func encodeIndexInfo(enc *encoder, info IndexInfo) {
-	enc.str(info.Table)
-	enc.str(info.Name)
-	enc.uvarint(uint64(len(info.Columns)))
-	for _, c := range info.Columns {
-		enc.str(c)
-	}
-	if info.Unique {
-		enc.byte(1)
-	} else {
-		enc.byte(0)
-	}
-	enc.byte(byte(info.Kind))
-}
-
-func decodeIndexInfo(dec *decoder) IndexInfo {
-	var info IndexInfo
-	info.Table = dec.str()
-	info.Name = dec.str()
-	n := dec.uvarint()
-	if dec.err != nil || n > 1<<12 {
-		dec.fail(fmt.Errorf("storage: corrupt index info"))
-		return info
-	}
-	info.Columns = make([]string, n)
-	for i := range info.Columns {
-		info.Columns[i] = dec.str()
-	}
-	info.Unique = dec.byte() == 1
-	info.Kind = IndexKind(dec.byte())
-	return info
-}
-
-func (w *wal) logDropIndex(table, name string) error {
-	_, err := w.append(func(enc *encoder) {
-		enc.byte(recDropIndex)
-		enc.str(table)
-		enc.str(name)
-	})
-	return err
-}
-
-func (w *wal) logSequence(name string, v int64) error {
-	_, err := w.append(func(enc *encoder) {
-		enc.byte(recSequence)
-		enc.str(name)
-		enc.varint(v)
-	})
-	return err
-}
-
-// logTx appends one commit record, returning its framed size for
-// per-tenant bytes-written attribution.
-func (w *wal) logTx(txid uint64, ops []txOp) (int, error) {
-	return w.append(func(enc *encoder) { encodeTxFrame(enc, txid, ops) })
-}
-
 // errTornRecord marks the recoverable end of the log during replay.
 var errTornRecord = errors.New("storage: torn wal record")
 
-// replayWAL applies every intact record from the WAL. A torn tail is
-// truncated so future appends produce a clean log. A WAL whose epoch
+// replayWAL feeds every intact record of the WAL to the one applier
+// (ApplyReplicated, record.go), which keeps the RID horizon and draws
+// local transaction ids as it goes. A torn tail is truncated so future
+// appends produce a clean log. A WAL whose epoch
 // stamp disagrees with the loaded snapshot is discarded whole: it was
 // written against a different snapshot baseline (a crash landed between
 // snapshot publish and WAL reset), so its records are either already in
@@ -287,7 +179,6 @@ func (e *Engine) replayWAL() error {
 		return err
 	}
 	var goodEnd int64
-	var maxTx, maxRID uint64
 	// A WAL with no epoch record is a fresh, never-checkpointed log
 	// (epoch 0): reset always stamps one.
 	walEpoch := uint64(0)
@@ -318,15 +209,8 @@ func (e *Engine) replayWAL() error {
 		if walEpoch != e.epoch {
 			break
 		}
-		tx, rid, aerr := e.applyWALRecord(payload)
-		if aerr != nil {
-			return aerr
-		}
-		if tx > maxTx {
-			maxTx = tx
-		}
-		if rid > maxRID {
-			maxRID = rid
+		if err := e.ApplyReplicated(payload); err != nil {
+			return fmt.Errorf("storage: replay wal record at offset %d: %w", goodEnd, err)
 		}
 		goodEnd += int64(n)
 	}
@@ -339,12 +223,6 @@ func (e *Engine) replayWAL() error {
 	if err := w.f.Truncate(goodEnd); err != nil {
 		return fmt.Errorf("storage: truncate torn wal: %w", err)
 	}
-	if maxTx >= e.nextTxID.Load() {
-		e.nextTxID.Store(maxTx + 1)
-	}
-	if maxRID >= e.nextRID.Load() {
-		e.nextRID.Store(maxRID + 1)
-	}
 	return nil
 }
 
@@ -353,12 +231,8 @@ func decodeEpoch(payload []byte) (uint64, bool) {
 	if len(payload) == 0 || payload[0] != recEpoch {
 		return 0, false
 	}
-	dec := newDecoder(bytes.NewReader(payload[1:]))
-	ep := dec.uvarint()
-	if dec.err != nil {
-		return 0, false
-	}
-	return ep, true
+	ep, n := binary.Uvarint(payload[1:])
+	return ep, n > 0
 }
 
 // readFrame reads one framed record, returning the payload and the total
@@ -387,107 +261,4 @@ func readFrame(r io.Reader) ([]byte, int, error) {
 		return nil, 0, errTornRecord
 	}
 	return payload, int(n) + 8, nil
-}
-
-// applyWALRecord applies one record to in-memory state during recovery.
-// It returns the highest transaction id and RID referenced.
-func (e *Engine) applyWALRecord(payload []byte) (maxTx, maxRID uint64, err error) {
-	dec := newDecoder(bytes.NewReader(payload))
-	switch typ := dec.byte(); typ {
-	case recCreateTable:
-		s := dec.schema()
-		if dec.err != nil {
-			return 0, 0, dec.err
-		}
-		// Recreate directly (not via CreateTable: no re-logging).
-		if err := s.Validate(); err != nil {
-			return 0, 0, err
-		}
-		t := &table{schema: s, byRID: make(map[RID]rowID), indexes: make(map[string]*index)}
-		if len(s.PrimaryKey) > 0 {
-			pk := e.buildIndex(t, IndexInfo{
-				Name:    s.Name + "_pkey",
-				Table:   s.Name,
-				Columns: append([]string(nil), s.PrimaryKey...),
-				Unique:  true,
-				Kind:    IndexBTree,
-			})
-			t.pkIndex = pk
-			t.indexes[lowerName(pk.info.Name)] = pk
-		}
-		e.tables[lowerName(s.Name)] = t
-	case recDropTable:
-		delete(e.tables, lowerName(dec.str()))
-	case recCreateIndex:
-		info := decodeIndexInfo(dec)
-		if dec.err != nil {
-			return 0, 0, dec.err
-		}
-		if t, ok := e.tables[lowerName(info.Table)]; ok {
-			// Replay is single-threaded, but take the lock anyway so every
-			// buildIndex call site shares CreateIndex's discipline (and the
-			// static race tier can prove it).
-			t.mu.Lock()
-			ix := e.buildIndex(t, info)
-			t.indexes[lowerName(info.Name)] = ix
-			t.mu.Unlock()
-		}
-	case recDropIndex:
-		tbl, name := dec.str(), dec.str()
-		if t, ok := e.tables[lowerName(tbl)]; ok {
-			delete(t.indexes, lowerName(name))
-		}
-	case recSequence:
-		name := dec.str()
-		v := dec.varint()
-		if dec.err == nil {
-			e.setSequence(name, v)
-		}
-	case recCommit:
-		txid := dec.uvarint()
-		nops := dec.uvarint()
-		if dec.err != nil || nops > maxBlob {
-			return 0, 0, fmt.Errorf("storage: corrupt commit record")
-		}
-		for i := uint64(0); i < nops; i++ {
-			kind := txOpKind(dec.byte())
-			tableName := dec.str()
-			rid := RID(dec.uvarint())
-			if uint64(rid) > maxRID {
-				maxRID = uint64(rid)
-			}
-			t, ok := e.tables[lowerName(tableName)]
-			switch kind {
-			case opInsert:
-				row := dec.row()
-				if dec.err != nil {
-					return 0, 0, dec.err
-				}
-				if !ok {
-					continue // table was dropped later in the log
-				}
-				slot := rowID(len(t.versions))
-				t.versions = append(t.versions, version{rid: rid, row: row})
-				t.byRID[rid] = slot
-				for _, ix := range t.indexes {
-					ix.insert(ix.keyFor(row), slot)
-				}
-			case opDelete:
-				if !ok {
-					continue
-				}
-				if slot, exists := t.byRID[rid]; exists {
-					t.versions[slot].xmax = txid
-				}
-			default:
-				return 0, 0, fmt.Errorf("storage: corrupt op kind %d", kind)
-			}
-		}
-		if txid > maxTx {
-			maxTx = txid
-		}
-	default:
-		return 0, 0, fmt.Errorf("storage: unknown wal record type %q", typ)
-	}
-	return maxTx, maxRID, dec.err
 }

@@ -23,14 +23,19 @@ fi
 # peeks that used to fork it were deleted, not deprecated; a declaration
 # of any of them coming back under internal/ fails here, before anything
 # is built. (Fixture trees impersonate package names and are exempt.)
-echo "==> deleted statement entry points stay deleted"
+# Likewise the redo record: internal/storage/record.go is its one encoder
+# and one applier, so recovery's own applier (applyWALRecord) and the
+# WAL's per-kind encoders (wal.log*) must not come back either.
+echo "==> deleted entry points stay deleted"
 REVIVED="$(grep -rnE --include='*.go' \
 	-e 'func \([a-z]+ \*?DB\) (Query|Exec|ExecContext|QueryStatement|QueryStatementContext|QueryStatementTx|CachedSelect|HasCachedSelect|PrepareSelect)\(' \
 	-e 'func \([a-z]+ \*?Stmt\) Query\(' \
 	-e 'func \([a-z]+ \*?Catalog\) (HasCachedSelect|QueryOn|queryDB)\(' \
+	-e 'applyWALRecord' \
+	-e 'func \(w \*wal\) log' \
 	internal | grep -v '/testdata/' || true)"
 if [ -n "$REVIVED" ]; then
-	echo "a deleted statement entry point was declared again (use DB.Prepare + Stmt.QueryContext/QueryTx):" >&2
+	echo "a deleted entry point was declared again (statements: DB.Prepare + Stmt.QueryContext/QueryTx; redo records: storage/record.go):" >&2
 	echo "$REVIVED" >&2
 	exit 1
 fi
@@ -74,14 +79,18 @@ go test ./internal/sql ./internal/services -run 'PlanCacheCoherent|ReplicaRouted
 go test ./internal/sql ./internal/services -run 'PlanCacheCoherent|ReplicaRouted' -count=50 -race
 
 # Fuzz smoke: ten seconds each of FuzzBuildCFG (the CFG builder's
-# panic-freedom and structural invariants) and FuzzDecodeFrame (the wire
+# panic-freedom and structural invariants), FuzzDecodeFrame (the wire
 # decoder against hostile bytes — truncation, oversized lengths,
-# over-reads past the frame view) on every CI run without turning CI
-# into a fuzz farm.
+# over-reads past the frame view) and FuzzApplyRecord (the redo record's
+# one decoder/applier: no panic, a rejected payload changes nothing, an
+# accepted one re-encodes to itself and applies idempotently) on every
+# CI run without turning CI into a fuzz farm.
 echo "==> fuzz smoke (FuzzBuildCFG, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/analysis/ -run '^$' -fuzz '^FuzzBuildCFG$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 echo "==> fuzz smoke (FuzzDecodeFrame, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/proto/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
+echo "==> fuzz smoke (FuzzApplyRecord, ${ODBIS_FUZZ_TIME:-10s})"
+go test ./internal/storage/ -run '^$' -fuzz '^FuzzApplyRecord$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 
 echo "==> go test -race (bus, etl, storage, tenant, sql, olap, services, server, fault, obs, replica, proto, netsrv, client)"
 go test -race ./internal/bus/ ./internal/etl/ ./internal/storage/ ./internal/tenant/ \
@@ -94,9 +103,12 @@ go test -race ./internal/bus/ ./internal/etl/ ./internal/storage/ ./internal/ten
 # exactly the code the race detector exists for. PlanCacheCoherent is
 # the plan-cache coherence test (DDL churning an index under concurrent
 # cached reads) — the epoch check, the per-entry replan lock, and the
-# LRU mutex are all load-bearing exactly there.
+# LRU mutex are all load-bearing exactly there. DDLWriteAhead,
+# RecoversParentDataDir and RecoveredPrimaryMatchesReplica are the redo
+# record's write-ahead, on-disk-compatibility and recovery-vs-replica
+# proofs.
 echo "==> fault-injection + cache-coherence suite under -race"
-go test -race -run 'Fault|Crash|TornTail|TornFrame|Panic|Admission|Redeliver|DeadLetter|PlanCacheCoherent|Replica' \
+go test -race -run 'Fault|Crash|TornTail|TornFrame|Panic|Admission|Redeliver|DeadLetter|PlanCacheCoherent|Replica|TestDDLWriteAhead|RecoversParentDataDir|RecoveredPrimaryMatchesReplica' \
 	./internal/fault/ ./internal/storage/ ./internal/bus/ ./internal/etl/ ./internal/server/ \
 	./internal/sql/ ./internal/services/ ./internal/replica/ ./internal/netsrv/
 
