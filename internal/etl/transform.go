@@ -173,12 +173,14 @@ func (l Lookup) ApplyContext(ctx context.Context, in []Record) ([]Record, error)
 		return nil, fmt.Errorf("etl: lookup %s: %w", l.On, err)
 	}
 	index := make(map[string]Record, len(refs))
+	var kbuf []byte // reused key buffer: probes make no key string
 	for _, ref := range refs {
 		k := ref[l.Key]
 		if k == nil {
 			continue
 		}
-		index[storage.EncodeKey(k)] = ref
+		kbuf = storage.AppendKey(kbuf[:0], k)
+		index[string(kbuf)] = ref
 	}
 	type taken struct{ src, dst string }
 	takes := make([]taken, len(l.Take))
@@ -195,7 +197,8 @@ func (l Lookup) ApplyContext(ctx context.Context, in []Record) ([]Record, error)
 		nr := rec.Clone()
 		var ref Record
 		if k := rec[l.On]; k != nil {
-			ref = index[storage.EncodeKey(k)]
+			kbuf = storage.AppendKey(kbuf[:0], k)
+			ref = index[string(kbuf)]
 		}
 		if ref == nil && l.Required {
 			return nil, fmt.Errorf("etl: lookup %s: no match for %v", l.On, rec[l.On])
@@ -251,15 +254,15 @@ func (a Aggregate) Apply(in []Record) ([]Record, error) {
 			return nil, fmt.Errorf("etl: aggregate: unknown op %q", spec.Op)
 		}
 	}
-	var order []string
+	var order []*state
 	states := map[string]*state{}
+	var kbuf []byte // reused key buffer: only a new group makes a key string
 	for _, rec := range in {
-		keyVals := make([]storage.Value, len(a.GroupBy))
-		for i, g := range a.GroupBy {
-			keyVals[i] = rec[g]
+		kbuf = kbuf[:0]
+		for _, g := range a.GroupBy {
+			kbuf = storage.AppendKey(kbuf, rec[g])
 		}
-		key := storage.EncodeKey(keyVals...)
-		st, ok := states[key]
+		st, ok := states[string(kbuf)]
 		if !ok {
 			st = &state{
 				rec:    make(Record, len(a.GroupBy)+len(a.Aggs)),
@@ -268,11 +271,11 @@ func (a Aggregate) Apply(in []Record) ([]Record, error) {
 				mins:   make([]storage.Value, len(a.Aggs)),
 				maxs:   make([]storage.Value, len(a.Aggs)),
 			}
-			for i, g := range a.GroupBy {
-				st.rec[g] = keyVals[i]
+			for _, g := range a.GroupBy {
+				st.rec[g] = rec[g]
 			}
-			states[key] = st
-			order = append(order, key)
+			states[string(kbuf)] = st
+			order = append(order, st)
 		}
 		for i, spec := range a.Aggs {
 			v := rec[spec.Field]
@@ -305,8 +308,7 @@ func (a Aggregate) Apply(in []Record) ([]Record, error) {
 		}
 	}
 	out := make([]Record, 0, len(order))
-	for _, key := range order {
-		st := states[key]
+	for _, st := range order {
 		for i, spec := range a.Aggs {
 			name := spec.As
 			if name == "" {
@@ -360,20 +362,20 @@ func (d Dedup) Name() string { return "dedup" }
 func (d Dedup) Apply(in []Record) ([]Record, error) {
 	seen := map[string]bool{}
 	var out []Record
+	var kbuf []byte // reused key buffer: only a new record makes a key string
 	for _, rec := range in {
 		fields := d.Fields
 		if len(fields) == 0 {
 			fields = rec.Fields()
 		}
-		vals := make([]storage.Value, 0, len(fields)*2)
+		kbuf = kbuf[:0]
 		for _, f := range fields {
-			vals = append(vals, f, rec[f])
+			kbuf = storage.AppendKey(kbuf, f, rec[f])
 		}
-		key := storage.EncodeKey(vals...)
-		if seen[key] {
+		if seen[string(kbuf)] {
 			continue
 		}
-		seen[key] = true
+		seen[string(kbuf)] = true
 		out = append(out, rec)
 	}
 	return out, nil

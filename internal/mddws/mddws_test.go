@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/odbis/odbis/internal/etl"
@@ -496,6 +497,68 @@ func TestAttrColumnTypes(t *testing.T) {
 	for _, ddl := range result.Artifacts.DDL {
 		if _, err := db2.QueryContext(context.Background(), ddl); err != nil {
 			t.Fatalf("typed ddl: %v\n%s", err, ddl)
+		}
+	}
+}
+
+// TestServiceConcurrentRuns drives StartProcess, ProcessRun and Build on
+// two projects at once; under -race it fails if the in-flight run map is
+// touched without its lock, and every Build must record its phase.
+func TestServiceConcurrentRuns(t *testing.T) {
+	e := storage.MustOpenMemory()
+	defer e.Close()
+	svc, err := NewService(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"p1", "p2"}
+	for _, name := range names {
+		if _, err := svc.CreateProject(name, "t"); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.SaveConceptualModel(name, salesCIM(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds = 20
+	var wg sync.WaitGroup
+	errs := make(chan error, 3*len(names)*rounds)
+	for _, name := range names {
+		wg.Add(3)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := svc.StartProcess(name); err != nil {
+					errs <- err
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				svc.ProcessRun(name)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := svc.Build(name); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for _, name := range names {
+		if _, ok := svc.ProcessRun(name); !ok {
+			t.Errorf("%s: no run after StartProcess", name)
+		}
+		if p, err := svc.Project(name); err != nil || p.Phase != "construction" {
+			t.Errorf("%s: phase %v, %v; want construction", name, p, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/odbis/odbis/internal/etl"
@@ -46,7 +47,9 @@ type Project struct {
 // Service is the MDDWS project-management and design service.
 type Service struct {
 	projects *orm.Mapper[projectRow]
+	runsMu   sync.Mutex
 	// runs keeps in-flight 2TUP process runs keyed by project.
+	//odbis:guardedby runsMu
 	runs map[string]*process.Run
 	now  func() time.Time
 }
@@ -121,7 +124,9 @@ func (s *Service) DeleteProject(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoProject, name)
 	}
+	s.runsMu.Lock()
 	delete(s.runs, name)
+	s.runsMu.Unlock()
 	return nil
 }
 
@@ -183,12 +188,16 @@ func (s *Service) StartProcess(name string) (*process.Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.runsMu.Lock()
 	s.runs[name] = run
+	s.runsMu.Unlock()
 	return run, nil
 }
 
 // ProcessRun returns the project's in-flight run.
 func (s *Service) ProcessRun(name string) (*process.Run, bool) {
+	s.runsMu.Lock()
+	defer s.runsMu.Unlock()
 	run, ok := s.runs[name]
 	return run, ok
 }
@@ -205,16 +214,13 @@ func (s *Service) Build(name string) (*BuildResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if run, ok := s.runs[name]; ok && !run.Done() {
+	if run, ok := s.ProcessRun(name); ok && !run.Done() {
 		if err := run.RunAll(nil); err != nil {
 			return nil, err
 		}
 	}
-	row, ok, err := s.projects.Get(name)
-	if err == nil && ok {
-		row.Phase = "construction"
-		row.Updated = s.now().UTC()
-		s.projects.Save(&row)
+	if err := s.setPhase(name, "construction"); err != nil {
+		return nil, err
 	}
 	return result, nil
 }
@@ -240,12 +246,25 @@ func (s *Service) Deploy(ctx context.Context, name string, result *BuildResult, 
 		}
 		n++
 	}
-	if row, ok, err := s.projects.Get(name); err == nil && ok {
-		row.Phase = "transition"
-		row.Updated = s.now().UTC()
-		s.projects.Save(&row)
+	if err := s.setPhase(name, "transition"); err != nil {
+		return n, err
 	}
 	return n, nil
+}
+
+// setPhase records the project's lifecycle phase; a project deleted in
+// the meantime is left deleted.
+func (s *Service) setPhase(name, phase string) error {
+	row, ok, err := s.projects.Get(name)
+	if err != nil || !ok {
+		return err
+	}
+	row.Phase = phase
+	row.Updated = s.now().UTC()
+	if err := s.projects.Save(&row); err != nil {
+		return fmt.Errorf("mddws: project %s: record phase %s: %w", name, phase, err)
+	}
+	return nil
 }
 
 // LoadJob materializes a generated LoadPlan into a runnable etl.Job: the

@@ -218,7 +218,12 @@ func Build(ctx context.Context, e *storage.Engine, spec CubeSpec) (*Cube, error)
 		byKey     map[string][]storage.Value
 		degenPos  []int // for degenerate dims: level positions on the fact table
 		degenerte bool
+		// rowVals holds one fact row's level values (degenerate dims);
+		// nulls is the all-NULL levels of an unmatched or NULL FK. Both
+		// are reused across rows: encode copies out what it keeps.
+		rowVals, nulls []storage.Value
 	}
+	var kbuf []byte // reused key buffer: probes make no key string
 	dimDatas := make([]*dimData, 0, len(spec.Dimensions))
 	for _, ds := range spec.Dimensions {
 		dd := &dimData{spec: ds}
@@ -260,7 +265,8 @@ func Build(ctx context.Context, e *storage.Engine, spec CubeSpec) (*Cube, error)
 						for i, p := range dd.levelPos {
 							vals[i] = b.Cols[p][r]
 						}
-						dd.byKey[storage.EncodeKey(b.Cols[keyPos][r])] = vals
+						kbuf = storage.AppendKey(kbuf[:0], b.Cols[keyPos][r])
+						dd.byKey[string(kbuf)] = vals
 					}
 					return nil
 				})
@@ -269,6 +275,8 @@ func Build(ctx context.Context, e *storage.Engine, spec CubeSpec) (*Cube, error)
 				return nil, err
 			}
 		}
+		dd.rowVals = make([]storage.Value, len(dd.degenPos))
+		dd.nulls = make([]storage.Value, len(ds.Levels))
 		dimDatas = append(dimDatas, dd)
 	}
 
@@ -313,22 +321,24 @@ func Build(ctx context.Context, e *storage.Engine, spec CubeSpec) (*Cube, error)
 					d := cube.dimList[di]
 					var levelVals []storage.Value
 					if dd.degenerte {
-						levelVals = make([]storage.Value, len(dd.degenPos))
+						levelVals = dd.rowVals
 						for i, p := range dd.degenPos {
 							levelVals[i] = b.Cols[p][r]
 						}
 					} else {
 						fk := b.Cols[dd.fkPos][r]
 						if fk != nil {
-							levelVals = dd.byKey[storage.EncodeKey(fk)]
+							kbuf = storage.AppendKey(kbuf[:0], fk)
+							levelVals = dd.byKey[string(kbuf)]
 						}
 						if levelVals == nil {
 							// Unmatched or NULL FK: every level reads as NULL.
-							levelVals = make([]storage.Value, len(d.levels))
+							levelVals = dd.nulls
 						}
 					}
 					for li, lv := range d.levels {
-						lv.codes = append(lv.codes, lv.encode(levelVals[li]))
+						kbuf = storage.AppendKey(kbuf[:0], levelVals[li])
+						lv.codes = append(lv.codes, lv.encode(kbuf, levelVals[li]))
 					}
 				}
 				for i, ms := range spec.Measures {
@@ -364,14 +374,16 @@ func Build(ctx context.Context, e *storage.Engine, spec CubeSpec) (*Cube, error)
 	return cube, nil
 }
 
-func (lv *level) encode(v storage.Value) int32 {
-	key := storage.EncodeKey(v)
-	if code, ok := lv.index[key]; ok {
+// encode returns the dictionary code of member v, whose AppendKey form is
+// key, adding v to the dictionary when it is new; only a new member makes
+// a key string.
+func (lv *level) encode(key []byte, v storage.Value) int32 {
+	if code, ok := lv.index[string(key)]; ok {
 		return code
 	}
 	code := int32(len(lv.dict))
 	lv.dict = append(lv.dict, v)
-	lv.index[key] = code
+	lv.index[string(key)] = code
 	return code
 }
 

@@ -91,6 +91,7 @@ func (q Query) clone() Query {
 // key builds a canonical cache key for the query.
 func (q Query) key() string {
 	var sb strings.Builder
+	var kbuf []byte
 	writeRefs := func(tag string, refs []LevelRef) {
 		sb.WriteString(tag)
 		for _, r := range refs {
@@ -121,7 +122,8 @@ func (q Query) key() string {
 		sb.WriteByte('=')
 		mvals := append([]storage.Value(nil), f.Members...)
 		sort.Slice(mvals, func(i, j int) bool { return storage.Compare(mvals[i], mvals[j]) < 0 })
-		sb.WriteString(storage.EncodeKey(mvals...))
+		kbuf = storage.AppendKey(kbuf[:0], mvals...)
+		sb.Write(kbuf)
 		sb.WriteByte(';')
 	}
 	return sb.String()
@@ -194,6 +196,7 @@ func (c *Cube) Execute(ctx context.Context, q Query) (*Result, error) {
 		allowed map[int32]bool
 	}
 	fsets := make([]filterSet, 0, len(q.Filters))
+	var kbuf []byte
 	for _, f := range q.Filters {
 		d, err := c.dimension(f.Dimension)
 		if err != nil {
@@ -205,7 +208,8 @@ func (c *Cube) Execute(ctx context.Context, q Query) (*Result, error) {
 		}
 		allowed := make(map[int32]bool, len(f.Members))
 		for _, m := range f.Members {
-			if code, ok := lv.index[storage.EncodeKey(storage.Normalize(m))]; ok {
+			kbuf = storage.AppendKey(kbuf[:0], m)
+			if code, ok := lv.index[string(kbuf)]; ok {
 				allowed[code] = true
 			}
 		}
@@ -387,9 +391,11 @@ func headerTuples(levels []*level, keys map[string][]int32) []Tuple {
 func tuplePositions(levels []*level, headers []Tuple) map[string]int {
 	pos := make(map[string]int, len(headers))
 	codes := make([]int32, len(levels))
+	var kbuf []byte
 	for i, t := range headers {
 		for j, lv := range levels {
-			codes[j] = lv.index[storage.EncodeKey(storage.Normalize(t[j]))]
+			kbuf = storage.AppendKey(kbuf[:0], t[j])
+			codes[j] = lv.index[string(kbuf)]
 		}
 		pos[codesKey(codes)] = i
 	}

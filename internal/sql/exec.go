@@ -228,7 +228,8 @@ type aggState struct {
 	sumF     float64
 	isFloat  bool
 	min, max storage.Value
-	distinct map[string]bool
+	distinct map[string]bool // keys of the values seen, for DISTINCT
+	kbuf     []byte          // reused key buffer for distinct probes
 }
 
 func (ex *executor) accumulate(st *aggState, node *FuncCall, ec *evalCtx) error {
@@ -250,11 +251,11 @@ func (ex *executor) accumulate(st *aggState, node *FuncCall, ec *evalCtx) error 
 		if st.distinct == nil {
 			st.distinct = make(map[string]bool)
 		}
-		k := storage.EncodeKey(v)
-		if st.distinct[k] {
+		st.kbuf = storage.AppendKey(st.kbuf[:0], v)
+		if st.distinct[string(st.kbuf)] {
 			return nil
 		}
-		st.distinct[k] = true
+		st.distinct[string(st.kbuf)] = true
 	}
 	st.count++
 	switch node.Name {

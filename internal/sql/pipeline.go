@@ -215,7 +215,12 @@ func (ex *executor) joinInto(sp *selectPlan, i int, params []storage.Value, oute
 	// match emits every joined row of one left row.
 	var match func(left joined) error
 	if js.hash {
-		table := make(map[string][]int, len(rights)) // EncodeKey(newKey) -> rights indexes
+		// Key bytes of newKey -> index into matches, which holds the
+		// rights indexes per key; keys are encoded into one reused buffer
+		// and a key string is made only for a key not seen before.
+		table := make(map[string]int, len(rights))
+		matches := make([][]int, 0, len(rights))
+		var kbuf []byte
 		rview := ex.newRowView(sp.bindings[lidx:lidx+1], nil, params)
 		for ri, rr := range rights {
 			if err := ex.step(); err != nil {
@@ -229,8 +234,13 @@ func (ex *executor) joinInto(sp *selectPlan, i int, params []storage.Value, oute
 			if kv == nil {
 				continue // NULL keys never join
 			}
-			k := storage.EncodeKey(kv)
-			table[k] = append(table[k], ri)
+			kbuf = storage.AppendKey(kbuf[:0], kv)
+			if m, ok := table[string(kbuf)]; ok {
+				matches[m] = append(matches[m], ri)
+			} else {
+				table[string(kbuf)] = len(matches)
+				matches = append(matches, []int{ri})
+			}
 		}
 		lview := ex.newRowView(sp.bindings[:lidx], outer, params) // left prefix: the probe key
 		match = func(left joined) error {
@@ -244,8 +254,11 @@ func (ex *executor) joinInto(sp *selectPlan, i int, params []storage.Value, oute
 			}
 			matched := false
 			if kv != nil {
-				for _, ri := range table[storage.EncodeKey(kv)] {
-					emit(left, rights[ri])
+				kbuf = storage.AppendKey(kbuf[:0], kv)
+				if m, ok := table[string(kbuf)]; ok {
+					for _, ri := range matches[m] {
+						emit(left, rights[ri])
+					}
 					matched = true
 				}
 			}
@@ -352,10 +365,11 @@ func (ex *executor) execPlan(p *Plan, params []storage.Value, outer *rowEnv) (*R
 		if !p.unionAll[i-1] {
 			seen := make(map[string]bool, len(acc))
 			dedup := acc[:0]
+			var kbuf []byte
 			for _, row := range acc {
-				k := storage.EncodeKey(row...)
-				if !seen[k] {
-					seen[k] = true
+				kbuf = storage.AppendKey(kbuf[:0], row...)
+				if !seen[string(kbuf)] {
+					seen[string(kbuf)] = true
 					dedup = append(dedup, row)
 				}
 			}
@@ -462,10 +476,11 @@ func (ex *executor) execCore(sp *selectPlan, params []storage.Value, outer *rowE
 	if sp.distinct {
 		seen := make(map[string]bool, len(outs))
 		dedup := outs[:0]
+		var kbuf []byte
 		for _, o := range outs {
-			k := storage.EncodeKey(o.vals...)
-			if !seen[k] {
-				seen[k] = true
+			kbuf = storage.AppendKey(kbuf[:0], o.vals...)
+			if !seen[string(kbuf)] {
+				seen[string(kbuf)] = true
 				dedup = append(dedup, o)
 			}
 		}
@@ -531,9 +546,12 @@ func (ex *executor) groupBlocks(sp *selectPlan, params []storage.Value, outer *r
 		g      *vgroup
 		states []*aggState
 	}
-	order := make([]string, 0, 16)
+	// Buckets in first-seen order, and by key: each row's key is encoded
+	// into kbuf and looked up without a string; a key string is made
+	// only for a new group.
+	order := make([]*bucket, 0, 16)
 	buckets := map[string]*bucket{}
-	keyVals := make(storage.Row, len(sp.groupBy))
+	var kbuf []byte
 
 	err := ex.runPipeline(sp, params, outer, func(b *block) error {
 		for r := 0; r < b.n; r++ {
@@ -541,18 +559,15 @@ func (ex *executor) groupBlocks(sp *selectPlan, params []storage.Value, outer *r
 				return err
 			}
 			view.bind(b.row(r))
-			for i, ge := range sp.groupBy {
+			kbuf = kbuf[:0]
+			for _, ge := range sp.groupBy {
 				v, err := view.ec.eval(ge)
 				if err != nil {
 					return err
 				}
-				keyVals[i] = v
+				kbuf = storage.AppendKey(kbuf, v)
 			}
-			key := ""
-			if len(sp.groupBy) > 0 {
-				key = storage.EncodeKey(keyVals...)
-			}
-			bk, ok := buckets[key]
+			bk, ok := buckets[string(kbuf)]
 			if !ok {
 				bk = &bucket{
 					g:      &vgroup{rep: append(joined(nil), b.row(r)...)},
@@ -561,8 +576,8 @@ func (ex *executor) groupBlocks(sp *selectPlan, params []storage.Value, outer *r
 				for i := range bk.states {
 					bk.states[i] = &aggState{}
 				}
-				buckets[key] = bk
-				order = append(order, key)
+				buckets[string(kbuf)] = bk
+				order = append(order, bk)
 			}
 			for i, node := range sp.aggs {
 				if err := ex.accumulate(bk.states[i], node, &view.ec); err != nil {
@@ -582,13 +597,11 @@ func (ex *executor) groupBlocks(sp *selectPlan, params []storage.Value, outer *r
 		for i := range bk.states {
 			bk.states[i] = &aggState{}
 		}
-		buckets[""] = bk
-		order = append(order, "")
+		order = append(order, bk)
 	}
 
 	groups := make([]*vgroup, 0, len(order))
-	for _, key := range order {
-		bk := buckets[key]
+	for _, bk := range order {
 		bk.g.aggs = make(map[*FuncCall]storage.Value, len(sp.aggs))
 		for i, node := range sp.aggs {
 			bk.g.aggs[node] = finishAggregate(node, bk.states[i])

@@ -138,19 +138,27 @@ func (ix *index) remove(key string, id rowID) {
 	ix.hash[key] = ids
 }
 
-func (ix *index) lookup(key string) []rowID {
+// lookup returns the row ids under an encoded key; a probe encodes into
+// a reused buffer and makes no key string.
+func (ix *index) lookup(key []byte) []rowID {
 	if ix.tree != nil {
-		return ix.tree.Get(key)
+		return ix.tree.Get(string(key))
 	}
-	return ix.hash[key]
+	return ix.hash[string(key)]
 }
 
-func (ix *index) keyFor(row Row) string {
-	vals := make([]Value, len(ix.cols))
-	for i, c := range ix.cols {
-		vals[i] = row[c]
+// appendKey appends the key of row (its indexed columns) to dst.
+func (ix *index) appendKey(dst []byte, row Row) []byte {
+	for _, c := range ix.cols {
+		dst = appendKeyOne(dst, row[c])
 	}
-	return EncodeKey(vals...)
+	return dst
+}
+
+// keyFor returns the key of row as a string, for entering it in the index.
+func (ix *index) keyFor(row Row) string {
+	var buf [64]byte
+	return string(ix.appendKey(buf[:0], row))
 }
 
 // table holds the versions and indexes of one relation.
@@ -329,8 +337,9 @@ func (e *Engine) Stats() Stats {
 	snap := e.takeSnapshotLocked()
 	for _, t := range e.tables {
 		t.mu.RLock()
+		var memo statusMemo
 		for i := range t.versions {
-			if e.visible(&t.versions[i], snap, 0) {
+			if e.visible(&t.versions[i], snap, 0, &memo) {
 				st.Rows++
 			}
 		}
@@ -514,28 +523,49 @@ func (e *Engine) statusOf(txid uint64) txStatus {
 	}
 }
 
+// statusMemo is the last transaction status a loop over versions looked
+// up. Consecutive versions mostly share a transaction id (a bulk load, a
+// multi-row insert), so with it a scan takes e.txMu once per run of them
+// instead of once per version; per-version locking made a reader and a
+// writer that scan the same table at once slow each other down. Keeping
+// the answer is sound: committedBefore asks only about a transaction
+// that had already ended when the snapshot was taken (begin and snapshot
+// both hold e.txMu), and an ended transaction's status is final.
+type statusMemo struct {
+	id uint64
+	st txStatus
+}
+
 // committedBefore reports whether txid committed before the snapshot was
-// taken.
-func (e *Engine) committedBefore(txid uint64, s snapshot) bool {
+// taken. m, when not nil, remembers the last status looked up.
+func (e *Engine) committedBefore(txid uint64, s snapshot, m *statusMemo) bool {
 	if txid == 0 {
 		return true
 	}
 	if txid >= s.xmax || s.active[txid] {
 		return false
 	}
-	return e.statusOf(txid) == txCommitted
+	if m == nil {
+		return e.statusOf(txid) == txCommitted
+	}
+	if m.id != txid {
+		*m = statusMemo{id: txid, st: e.statusOf(txid)}
+	}
+	return m.st == txCommitted
 }
 
 // visible reports whether version v is visible under snapshot s to the
-// transaction with id self (0 for a read-only observer).
-func (e *Engine) visible(v *version, s snapshot, self uint64) bool {
+// transaction with id self (0 for a read-only observer). A loop over
+// versions passes one statusMemo for the whole loop; a single check
+// passes nil.
+func (e *Engine) visible(v *version, s snapshot, self uint64, m *statusMemo) bool {
 	switch {
 	case v.xmin == self && self != 0:
 		// Our own insert: visible unless we deleted it ourselves.
 		if v.xmax == self {
 			return false
 		}
-	case !e.committedBefore(v.xmin, s):
+	case !e.committedBefore(v.xmin, s, m):
 		return false
 	}
 	if v.xmax == 0 {
@@ -546,5 +576,5 @@ func (e *Engine) visible(v *version, s snapshot, self uint64) bool {
 	}
 	// A delete is effective only when its transaction committed before our
 	// snapshot; otherwise the row is still visible to us.
-	return !e.committedBefore(v.xmax, s)
+	return !e.committedBefore(v.xmax, s, m)
 }

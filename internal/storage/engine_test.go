@@ -579,3 +579,68 @@ func TestConcurrentMixedWorkloadWithVacuum(t *testing.T) {
 		return nil
 	})
 }
+
+// TestScanVisibilityAcrossTransactionRuns: a scan remembers the status of
+// the last transaction it looked up, so versions from committed, aborted,
+// in-flight and later transactions are interleaved here in runs and one
+// by one; each reader must see exactly what its snapshot allows.
+func TestScanVisibilityAcrossTransactionRuns(t *testing.T) {
+	e := newTestEngine(t)
+	next := int64(0)
+	insert := func(tx *Tx, n int) []int64 {
+		var ids []int64
+		for i := 0; i < n; i++ {
+			next++
+			if _, err := tx.Insert("users", Row{next, "u", nil, true}); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, next)
+		}
+		return ids
+	}
+	commit := func(tx *Tx) {
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := func(tx *Tx) []int64 {
+		var got []int64
+		if err := tx.Scan("users", func(_ RID, r Row) bool {
+			got = append(got, r[0].(int64))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+
+	a := e.Begin()
+	committed := insert(a, 3)
+	commit(a)
+	b := e.Begin()
+	insert(b, 2)
+	if err := b.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	open := e.Begin() // in flight when the first reader starts
+	late := insert(open, 2)
+	c := e.Begin()
+	committed = append(committed, insert(c, 1)...)
+	commit(c)
+
+	reader := e.Begin()
+	defer reader.Rollback()
+	d := e.Begin() // commits after the reader's snapshot
+	late = append(late, insert(d, 2)...)
+	commit(d)
+	if got := scan(reader); fmt.Sprint(got) != fmt.Sprint(committed) {
+		t.Errorf("reader sees %v, want %v", got, committed)
+	}
+	commit(open)
+	after := e.Begin()
+	defer after.Rollback()
+	want := append(append([]int64(nil), committed[:3]...), late[0], late[1], committed[3], late[2], late[3])
+	if got := scan(after); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("later reader sees %v, want %v", got, want)
+	}
+}

@@ -286,8 +286,9 @@ func (e *Engine) hasDuplicateKey(t *table, ix *index) bool {
 	dup := false
 	unique := func(_ string, ids []rowID) bool {
 		live := 0
+		var memo statusMemo
 		for _, id := range ids {
-			if e.visible(&t.versions[id], snap, 0) {
+			if e.visible(&t.versions[id], snap, 0, &memo) {
 				live++
 			}
 		}

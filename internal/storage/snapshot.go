@@ -152,9 +152,10 @@ func (e *Engine) vacuumTable(t *table, snap snapshot) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	kept := make([]version, 0, len(t.versions))
+	var memo statusMemo
 	for i := range t.versions {
 		v := &t.versions[i]
-		if e.visible(v, snap, 0) {
+		if e.visible(v, snap, 0, &memo) {
 			kept = append(kept, version{rid: v.rid, row: v.row})
 		}
 	}
@@ -277,8 +278,9 @@ func (e *Engine) encodeState(w io.Writer, snap snapshot, epoch uint64, mid func(
 		}
 		// Committed-visible rows only.
 		var rows []*version
+		var memo statusMemo
 		for i := range t.versions {
-			if e.visible(&t.versions[i], snap, 0) {
+			if e.visible(&t.versions[i], snap, 0, &memo) {
 				rows = append(rows, &t.versions[i])
 			}
 		}

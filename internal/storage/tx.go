@@ -146,12 +146,12 @@ func (tx *Tx) Insert(tableName string, row Row) (RID, error) {
 	// Unique-index enforcement: a key conflicts when any version with the
 	// same key is live (not deleted) and was created by a committed or
 	// still-active transaction.
+	var buf [64]byte
 	for _, ix := range t.indexes {
 		if !ix.info.Unique {
 			continue
 		}
-		key := ix.keyFor(checked)
-		for _, id := range ix.lookup(key) {
+		for _, id := range ix.lookup(ix.appendKey(buf[:0], checked)) {
 			v := &t.versions[id]
 			if tx.aliveForUnique(v) {
 				return 0, fmt.Errorf("%w: index %s key %v", ErrDuplicate, ix.info.Name, describeKey(ix, checked))
@@ -231,7 +231,7 @@ func (tx *Tx) deleteLocked(t *table, rid RID) error {
 		return fmt.Errorf("%w: rid %d in %s", ErrNoRow, rid, t.schema.Name)
 	}
 	v := &t.versions[slot]
-	if !tx.e.visible(v, tx.snap, tx.id) {
+	if !tx.e.visible(v, tx.snap, tx.id, nil) {
 		return fmt.Errorf("%w: rid %d in %s", ErrRowNotVisible, rid, t.schema.Name)
 	}
 	if v.xmax != 0 && v.xmax != tx.id {
@@ -278,7 +278,7 @@ func (tx *Tx) Get(tableName string, rid RID) (Row, error) {
 		return nil, fmt.Errorf("%w: rid %d in %s", ErrNoRow, rid, tableName)
 	}
 	v := &t.versions[slot]
-	if !tx.e.visible(v, tx.snap, tx.id) {
+	if !tx.e.visible(v, tx.snap, tx.id, nil) {
 		return nil, fmt.Errorf("%w: rid %d in %s", ErrRowNotVisible, rid, tableName)
 	}
 	tx.e.statsReads.Add(1)
@@ -300,9 +300,10 @@ func (tx *Tx) collectVisible(t *table, pick func() []rowID) []match {
 	defer t.mu.RUnlock()
 	ids := pick()
 	out := make([]match, 0, len(ids))
+	var memo statusMemo
 	for _, id := range ids {
 		v := &t.versions[id]
-		if tx.e.visible(v, tx.snap, tx.id) {
+		if tx.e.visible(v, tx.snap, tx.id, &memo) {
 			out = append(out, match{rid: v.rid, row: v.row})
 		}
 	}
@@ -325,9 +326,10 @@ func (tx *Tx) visibleRows(tableName string) ([]match, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]match, 0, len(t.versions))
+	var memo statusMemo
 	for i := range t.versions {
 		v := &t.versions[i]
-		if tx.e.visible(v, tx.snap, tx.id) {
+		if tx.e.visible(v, tx.snap, tx.id, &memo) {
 			out = append(out, match{rid: v.rid, row: v.row})
 		}
 	}
@@ -377,8 +379,10 @@ func (tx *Tx) LookupEqual(tableName, indexName string, key []Value, fn func(rid 
 	}
 	t.mu.RUnlock()
 	tx.e.statsReads.Add(1)
+	var buf [64]byte
+	probe := AppendKey(buf[:0], key...)
 	matches := tx.collectVisible(t, func() []rowID {
-		return ix.lookup(EncodeKey(key...))
+		return ix.lookup(probe)
 	})
 	for i, m := range matches {
 		if err := tx.stepCtx(i); err != nil {

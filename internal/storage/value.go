@@ -18,8 +18,11 @@
 package storage
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -184,19 +187,31 @@ func Compare(a, b Value) int {
 			return 1
 		}
 	}
-	// Numeric cross-type comparison.
-	af, aNum := asFloat(a)
-	bf, bNum := asFloat(b)
-	if aNum && bNum {
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
+	// Numeric comparison is exact: int×int compares as integers, and an
+	// int against a float compares against the float's exact value, so
+	// ints beyond ±2^53 that share a float64 still order (and key)
+	// apart.
+	switch x := a.(type) {
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return cmp.Compare(x, y)
+		case float64:
+			return compareIntFloat(x, y)
 		}
-		// Equal as floats: ints and floats representing the same number
-		// compare equal.
-		return 0
+	case float64:
+		switch y := b.(type) {
+		case int64:
+			return -compareIntFloat(y, x)
+		case float64:
+			switch {
+			case x < y:
+				return -1
+			case x > y:
+				return 1
+			}
+			return 0 // equal, or NaN (which compares equal to every number)
+		}
 	}
 	ar, br := typeRank(a), typeRank(b)
 	if ar != br {
@@ -235,15 +250,28 @@ func Compare(a, b Value) int {
 	}
 }
 
-func asFloat(v Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
+// compareIntFloat orders int i against float f exactly. NaN compares
+// equal to every number.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
 	}
+	t := math.Trunc(f) // |t| < 2^63, so int64(t) is exact
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	switch frac := f - t; {
+	case frac > 0:
+		return -1
+	case frac < 0:
+		return 1
+	}
+	return 0
 }
 
 func typeRank(v Value) int {
@@ -292,93 +320,111 @@ func FormatValue(v Value) string {
 	}
 }
 
-// EncodeKey produces an order-preserving string encoding of a tuple of
-// values: for values a, b of the same type, Compare(a,b) < 0 iff
-// EncodeKey(a) < EncodeKey(b) lexicographically. It is used as the key
-// form for both hash and B-tree indexes.
-func EncodeKey(vals ...Value) string {
-	var sb strings.Builder
+// AppendKey appends the order-preserving encoding of a tuple of values to
+// dst and returns the extended slice: for values a, b that are both
+// numeric or of the same type, Compare(a,b) < 0 iff AppendKey(nil, a) <
+// AppendKey(nil, b) lexicographically, and the keys are equal iff
+// Compare(a,b) == 0 (NaN aside). It is the key form of hash and B-tree
+// indexes and of every GROUP BY, join, DISTINCT and cube dictionary;
+// per-row callers encode into one reused buffer and look it up with
+// m[string(buf)], which does not allocate.
+//
+// Numbers share tag 0x01 and the 8-byte order-preserving float64 form
+// (-0.0 as +0.0). An int that no float64 holds exactly (|x| > 2^53 and
+// not on the float grid) is written as the largest float64 below it,
+// then the marker 0xFF — above every tag byte, so it sorts after that
+// float and after any tuple continuing from it — and the 8-byte
+// big-endian gap to that float.
+func AppendKey(dst []byte, vals ...Value) []byte {
 	for _, v := range vals {
-		encodeKeyOne(&sb, Normalize(v))
+		dst = appendKeyOne(dst, v)
 	}
-	return sb.String()
+	return dst
 }
 
-func encodeKeyOne(sb *strings.Builder, v Value) {
+// EncodeKey returns AppendKey's encoding as a string, for callers that
+// keep the key.
+func EncodeKey(vals ...Value) string {
+	var buf [64]byte
+	return string(AppendKey(buf[:0], vals...))
+}
+
+// appendKeyOne encodes one value. Stored values are already canonical,
+// so it switches on them without Normalize, which would box a copy of
+// every time value.
+func appendKeyOne(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		sb.WriteByte(0x00)
+		return append(dst, 0x00)
 	case int64:
-		sb.WriteByte(0x01)
-		encodeOrderedFloat(sb, float64(x))
-		// Disambiguate ints that collide as floats (|x| >= 2^53): append
-		// the exact decimal. Cheap and rare.
-		if x > 1<<53 || x < -(1<<53) {
-			sb.WriteString(strconv.FormatInt(x, 10))
-		}
+		return appendKeyInt(dst, x)
 	case float64:
-		sb.WriteByte(0x01)
-		encodeOrderedFloat(sb, x)
+		return appendOrderedFloat(append(dst, 0x01), x)
 	case string:
-		sb.WriteByte(0x02)
-		encodeEscaped(sb, x)
+		return appendEscaped(append(dst, 0x02), x)
 	case bool:
-		sb.WriteByte(0x03)
 		if x {
-			sb.WriteByte(1)
-		} else {
-			sb.WriteByte(0)
+			return append(dst, 0x03, 1)
 		}
+		return append(dst, 0x03, 0)
 	case time.Time:
-		sb.WriteByte(0x04)
-		encodeOrderedInt(sb, x.UnixMicro())
+		return binary.BigEndian.AppendUint64(append(dst, 0x04), uint64(x.UnixMicro())^(1<<63))
 	case []byte:
-		sb.WriteByte(0x05)
-		encodeEscaped(sb, string(x))
-	default:
-		panic(fmt.Sprintf("storage: EncodeKey on unsupported type %T", v))
+		return appendEscaped(append(dst, 0x05), x)
 	}
+	// Go-native ints and float32 widen to int64 and float64.
+	switch n := Normalize(v).(type) {
+	case int64:
+		return appendKeyInt(dst, n)
+	case float64:
+		return appendOrderedFloat(append(dst, 0x01), n)
+	}
+	// reflect.TypeOf, unlike fmt's %T, does not make v escape: a caller's
+	// boxed key value can stay on its stack.
+	panic("storage: AppendKey on unsupported type " + reflect.TypeOf(v).String())
 }
 
-// encodeEscaped writes s with 0x00 escaped so that tuple components cannot
-// bleed into each other, terminated by 0x00 0x01.
-func encodeEscaped(sb *strings.Builder, s string) {
+// appendKeyInt writes an int as the largest float64 f <= x, followed,
+// when f != x, by 0xFF and the gap x-f (< 2^11 for any int64).
+func appendKeyInt(dst []byte, x int64) []byte {
+	f := float64(x) // round to nearest; step down if that went above x
+	if f >= 1<<63 || int64(f) > x {
+		f = math.Nextafter(f, math.Inf(-1))
+	}
+	dst = appendOrderedFloat(append(dst, 0x01), f)
+	if gap := x - int64(f); gap != 0 {
+		dst = binary.BigEndian.AppendUint64(append(dst, 0xFF), uint64(gap))
+	}
+	return dst
+}
+
+// appendEscaped writes s with 0x00 escaped so that tuple components
+// cannot bleed into each other, terminated by 0x00 0x01.
+func appendEscaped[S string | []byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == 0x00 {
-			sb.WriteByte(0x00)
-			sb.WriteByte(0xFF)
-			continue
+		if c := s[i]; c == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, c)
 		}
-		sb.WriteByte(c)
 	}
-	sb.WriteByte(0x00)
-	sb.WriteByte(0x01)
+	return append(dst, 0x00, 0x01)
 }
 
-// encodeOrderedFloat writes an 8-byte big-endian encoding of f whose
-// lexicographic order matches numeric order (standard sign-flip trick).
-func encodeOrderedFloat(sb *strings.Builder, f float64) {
+// appendOrderedFloat writes an 8-byte big-endian encoding of f whose
+// lexicographic order matches numeric order (standard sign-flip trick);
+// -0.0 is written as +0.0, which it compares equal to.
+func appendOrderedFloat(dst []byte, f float64) []byte {
+	if f == 0 {
+		f = 0
+	}
 	bits := math.Float64bits(f)
 	if bits&(1<<63) != 0 {
 		bits = ^bits
 	} else {
 		bits |= 1 << 63
 	}
-	writeBE64(sb, bits)
-}
-
-func encodeOrderedInt(sb *strings.Builder, i int64) {
-	writeBE64(sb, uint64(i)^(1<<63))
-}
-
-func writeBE64(sb *strings.Builder, u uint64) {
-	var b [8]byte
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(u)
-		u >>= 8
-	}
-	sb.Write(b[:])
+	return binary.BigEndian.AppendUint64(dst, bits)
 }
 
 // Row is a tuple of values positionally aligned with a table's columns.

@@ -77,22 +77,46 @@ func TestCompareBasics(t *testing.T) {
 }
 
 // Property: EncodeKey preserves the ordering of Compare for same-typed
-// values.
+// values. Random int64 pairs almost never share a float64, so the second
+// property draws b within a small distance of a: beyond ±2^53 those
+// pairs collide as floats, and across zero and digit-count boundaries
+// they caught the decimal suffix the large-int key used to carry.
 func TestEncodeKeyOrderInts(t *testing.T) {
-	f := func(a, b int64) bool {
+	agrees := func(a, b int64) bool {
 		ka, kb := EncodeKey(a), EncodeKey(b)
-		cmp := Compare(a, b)
 		switch {
-		case cmp < 0:
-			return ka < kb
-		case cmp > 0:
-			return ka > kb
+		case a < b:
+			return Compare(a, b) < 0 && ka < kb
+		case a > b:
+			return Compare(a, b) > 0 && ka > kb
 		default:
-			return ka == kb
+			return Compare(a, b) == 0 && ka == kb
 		}
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(agrees, nil); err != nil {
 		t.Error(err)
+	}
+	near := func(a int64, d int16, shift uint8) bool {
+		a >>= shift % 12 // also land near 2^53..2^62 and on the negative side
+		return agrees(a, a+int64(d))
+	}
+	if err := quick.Check(near, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	adversarial := [][2]int64{
+		{1 << 53, 1<<53 + 1},
+		{-9007199254740995, -9007199254740997},
+		{-(1 << 53), -(1 << 53) - 1},
+		{99999999999999999, 100000000000000001},
+		{-99999999999999999, -100000000000000001},
+		{math.MaxInt64, math.MaxInt64 - 1},
+		{math.MinInt64, math.MinInt64 + 1},
+		{1<<62 + 1, 1<<62 - 1},
+	}
+	for _, p := range adversarial {
+		if !agrees(p[0], p[1]) || !agrees(p[1], p[0]) {
+			t.Errorf("%d vs %d: Compare %d, keys %x / %x", p[0], p[1], Compare(p[0], p[1]), EncodeKey(p[0]), EncodeKey(p[1]))
+		}
 	}
 }
 

@@ -40,6 +40,19 @@ if [ -n "$REVIVED" ]; then
 	exit 1
 fi
 
+# Row keys: the per-row GROUP BY, join, DISTINCT, cube and ETL keys are
+# encoded with storage.AppendKey into a buffer the operator reuses, and a
+# key string is made only when a new group or entry is stored. A
+# storage.EncodeKey call (a fresh string per call) in those packages is
+# that per-row allocation coming back.
+echo "==> no storage.EncodeKey in sql/olap/etl"
+REKEYED="$(grep -rn --include='*.go' 'storage\.EncodeKey(' internal/sql internal/olap internal/etl | grep -v '_test\.go:' | grep -v '/testdata/' || true)"
+if [ -n "$REKEYED" ]; then
+	echo "per-row keys use storage.AppendKey into a reused buffer, not storage.EncodeKey:" >&2
+	echo "$REKEYED" >&2
+	exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -81,20 +94,24 @@ go test ./internal/sql ./internal/services -run 'PlanCacheCoherent|ReplicaRouted
 # Fuzz smoke: ten seconds each of FuzzBuildCFG (the CFG builder's
 # panic-freedom and structural invariants), FuzzDecodeFrame (the wire
 # decoder against hostile bytes — truncation, oversized lengths,
-# over-reads past the frame view) and FuzzApplyRecord (the redo record's
+# over-reads past the frame view), FuzzApplyRecord (the redo record's
 # one decoder/applier: no panic, a rejected payload changes nothing, an
-# accepted one re-encodes to itself and applies idempotently) on every
-# CI run without turning CI into a fuzz farm.
+# accepted one re-encodes to itself and applies idempotently) and
+# FuzzKeyOrder (index and row keys order exactly as Compare does, and
+# are equal exactly when Compare says so) on every CI run without
+# turning CI into a fuzz farm.
 echo "==> fuzz smoke (FuzzBuildCFG, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/analysis/ -run '^$' -fuzz '^FuzzBuildCFG$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 echo "==> fuzz smoke (FuzzDecodeFrame, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/proto/ -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 echo "==> fuzz smoke (FuzzApplyRecord, ${ODBIS_FUZZ_TIME:-10s})"
 go test ./internal/storage/ -run '^$' -fuzz '^FuzzApplyRecord$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
+echo "==> fuzz smoke (FuzzKeyOrder, ${ODBIS_FUZZ_TIME:-10s})"
+go test ./internal/storage/ -run '^$' -fuzz '^FuzzKeyOrder$' -fuzztime "${ODBIS_FUZZ_TIME:-10s}"
 
-echo "==> go test -race (bus, etl, storage, tenant, sql, olap, services, server, fault, obs, replica, proto, netsrv, client)"
+echo "==> go test -race (bus, etl, storage, tenant, sql, olap, mddws, services, server, fault, obs, replica, proto, netsrv, client)"
 go test -race ./internal/bus/ ./internal/etl/ ./internal/storage/ ./internal/tenant/ \
-	./internal/sql/ ./internal/olap/ ./internal/services/ ./internal/server/ \
+	./internal/sql/ ./internal/olap/ ./internal/mddws/ ./internal/services/ ./internal/server/ \
 	./internal/fault/ ./internal/obs/ ./internal/replica/ \
 	./internal/proto/ ./internal/netsrv/ ./client/
 
