@@ -286,6 +286,7 @@ func Open(opts Options) (*Engine, error) {
 		w.Close()
 		return nil, err
 	}
+	e.reportRecoveredDuplicates()
 	return e, nil
 }
 
@@ -537,16 +538,13 @@ type statusMemo struct {
 }
 
 // committedBefore reports whether txid committed before the snapshot was
-// taken. m, when not nil, remembers the last status looked up.
+// taken. m remembers the last status looked up.
 func (e *Engine) committedBefore(txid uint64, s snapshot, m *statusMemo) bool {
 	if txid == 0 {
 		return true
 	}
 	if txid >= s.xmax || s.active[txid] {
 		return false
-	}
-	if m == nil {
-		return e.statusOf(txid) == txCommitted
 	}
 	if m.id != txid {
 		*m = statusMemo{id: txid, st: e.statusOf(txid)}
@@ -556,8 +554,7 @@ func (e *Engine) committedBefore(txid uint64, s snapshot, m *statusMemo) bool {
 
 // visible reports whether version v is visible under snapshot s to the
 // transaction with id self (0 for a read-only observer). A loop over
-// versions passes one statusMemo for the whole loop; a single check
-// passes nil.
+// versions passes one statusMemo for the whole loop.
 func (e *Engine) visible(v *version, s snapshot, self uint64, m *statusMemo) bool {
 	switch {
 	case v.xmin == self && self != 0:

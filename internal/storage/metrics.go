@@ -11,4 +11,6 @@ var (
 	mWALBytes      = obs.GetCounter("odbis_wal_bytes_written_total")
 	mWALLatchTrips = obs.GetCounter("odbis_wal_latch_trips_total")
 	gSnapshotEpoch = obs.GetGauge("odbis_storage_snapshot_epoch")
+
+	mRecoveredDuplicates = obs.GetCounter("odbis_storage_recovered_unique_violations_total")
 )

@@ -2,9 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -302,5 +305,66 @@ func TestRecoversParentDataDir(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("golden WAL tail holds no %q record", k)
 		}
+	}
+}
+
+// testdata/negzero_datadir was written by commit 6b697bd, whose keys
+// kept -0.0 apart from 0.0: the checkpoint holds points(id, f) with a
+// unique hash index on f over 0.0, -0.0 and 1.5, and the WAL tail holds
+// marks, whose FLOAT primary key got -0.0 and then 0.0. Both indexes
+// now hold two rows under one key. The directory opens with every row
+// and sign intact, index and scan agree, an equal insert is refused,
+// and the broken constraints are counted.
+const negZeroDataDir = "testdata/negzero_datadir"
+
+func TestRecoversNegZeroUniqueDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	copyDataDir(t, negZeroDataDir, dir)
+	before := mRecoveredDuplicates.Value()
+	e := openDir(t, dir, SyncBuffered)
+	defer e.Close()
+	if got := mRecoveredDuplicates.Value() - before; got != 2 {
+		t.Errorf("recovered unique violations counted = %d, want 2 (points_f, marks_pkey)", got)
+	}
+	for _, c := range []struct{ table, index, col string }{
+		{"points", "points_f", "f"},
+		{"marks", "marks_pkey", "f"},
+	} {
+		var viaIndex, viaScan []string
+		err := e.View(func(tx *Tx) error {
+			s, err := e.Schema(c.table)
+			if err != nil {
+				return err
+			}
+			col, _ := s.ColumnIndex(c.col)
+			show := func(row Row) string { return fmt.Sprint(math.Signbit(row[col].(float64)), row) }
+			if err := tx.LookupEqual(c.table, c.index, []Value{0.0}, func(_ RID, row Row) bool {
+				viaIndex = append(viaIndex, show(row))
+				return true
+			}); err != nil {
+				return err
+			}
+			return tx.Scan(c.table, func(_ RID, row Row) bool {
+				if Compare(row[col], 0.0) == 0 {
+					viaScan = append(viaScan, show(row))
+				}
+				return true
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(viaIndex)
+		sort.Strings(viaScan)
+		if len(viaScan) != 2 || !slices.Equal(viaIndex, viaScan) {
+			t.Errorf("%s = 0: index %v, scan %v; want the same two rows, one with the sign bit", c.index, viaIndex, viaScan)
+		}
+	}
+	err := e.Update(func(tx *Tx) error {
+		_, err := tx.Insert("points", Row{int64(4), 0.0})
+		return err
+	})
+	if !errors.Is(err, ErrDuplicate) {
+		t.Errorf("insert of a third 0.0 under points_f: err = %v, want ErrDuplicate", err)
 	}
 }

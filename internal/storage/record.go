@@ -307,6 +307,26 @@ func (e *Engine) hasDuplicateKey(t *table, ix *index) bool {
 	return dup
 }
 
+// reportRecoveredDuplicates counts in mRecoveredDuplicates each unique
+// index whose recovered rows share a key. Builds that keyed -0.0 apart
+// from 0.0 let a unique index hold both, and a data directory they wrote
+// still opens: index and scan agree on such rows, and a further equal
+// insert is refused, but the constraint is already broken and the
+// counter is where that shows.
+func (e *Engine) reportRecoveredDuplicates() {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, t := range e.tables {
+		t.mu.RLock()
+		for _, ix := range t.indexes {
+			if ix.info.Unique && e.hasDuplicateKey(t, ix) {
+				mRecoveredDuplicates.Inc()
+			}
+		}
+		t.mu.RUnlock()
+	}
+}
+
 type dropIndex struct{ table, name string }
 
 func (r dropIndex) encode(enc *encoder) {

@@ -334,6 +334,7 @@ func OpenFromDump(raw []byte) (*Engine, error) {
 	if err := e.restoreState(raw, "dump"); err != nil {
 		return nil, err
 	}
+	e.reportRecoveredDuplicates()
 	return e, nil
 }
 

@@ -231,7 +231,8 @@ func (tx *Tx) deleteLocked(t *table, rid RID) error {
 		return fmt.Errorf("%w: rid %d in %s", ErrNoRow, rid, t.schema.Name)
 	}
 	v := &t.versions[slot]
-	if !tx.e.visible(v, tx.snap, tx.id, nil) {
+	var memo statusMemo
+	if !tx.e.visible(v, tx.snap, tx.id, &memo) {
 		return fmt.Errorf("%w: rid %d in %s", ErrRowNotVisible, rid, t.schema.Name)
 	}
 	if v.xmax != 0 && v.xmax != tx.id {
@@ -278,7 +279,8 @@ func (tx *Tx) Get(tableName string, rid RID) (Row, error) {
 		return nil, fmt.Errorf("%w: rid %d in %s", ErrNoRow, rid, tableName)
 	}
 	v := &t.versions[slot]
-	if !tx.e.visible(v, tx.snap, tx.id, nil) {
+	var memo statusMemo
+	if !tx.e.visible(v, tx.snap, tx.id, &memo) {
 		return nil, fmt.Errorf("%w: rid %d in %s", ErrRowNotVisible, rid, tableName)
 	}
 	tx.e.statsReads.Add(1)
